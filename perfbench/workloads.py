@@ -216,8 +216,10 @@ class Workload:
 # ----------------------------------------------------------------------
 # shared pieces
 # ----------------------------------------------------------------------
-def http_execute(workload: Workload, client: ReproClient, op: Op) -> bool:
-    """Send one operation over the wire and grade the reply."""
+def http_execute(workload: Workload, client: ReproClient, op: Op,
+                 acknowledge=None) -> bool:
+    """Send one operation over the wire and grade the reply;
+    ``acknowledge(deltas)`` (default: the workload's) books a commit."""
     try:
         if op.kind == "implies":
             return workload.graded(op, client.implies(op.text))
@@ -232,7 +234,7 @@ def http_execute(workload: Workload, client: ReproClient, op: Op) -> bool:
     if tx != op.expect:
         workload.note(f"delta committed as tx {tx}, expected {op.expect}")
         return False
-    workload.acknowledge(op.deltas)
+    (acknowledge or workload.acknowledge)(op.deltas)
     return True
 
 
@@ -807,8 +809,8 @@ class FleetRouted(Workload):
             def execute(op):
                 turn["direct"] = alternate and turn["n"] % 2 == 1
                 turn["n"] += 1
-                return http_execute(lane["book"], direct if turn["direct"]
-                                    else routed, op)
+                return http_execute(self, direct if turn["direct"] else routed,
+                                    op, lambda deltas: self._book(lane, deltas))
 
             def kind_of(op):
                 return ("direct." if turn["direct"] else "") + op.kind
@@ -830,9 +832,14 @@ class FleetRouted(Workload):
                 records.append(record)
         return records, max(elapsed for _, elapsed in results.values())
 
+    @staticmethod
+    def _book(lane: dict, deltas) -> None:
+        """Acknowledged commits are counted per tenant (one thread each)."""
+        lane["acked"] += 1
+        lane["acked_sum"] += sum(d for _, d in deltas)
+        lane["acked_txs"].append(deltas)
+
     def warm(self, system):
-        for lane in self.lanes:
-            lane["book"] = _LaneBook(self, lane)
         return self._run(system, WARM_SECONDS, alternate=False)[0]
 
     def drive(self, system, seconds, traced):
@@ -900,24 +907,6 @@ class FleetRouted(Workload):
                 self.ground, [system["data"][i], system["standby"][i]],
                 lane["acked_txs"], self.SNAPSHOT_EVERY, header))
         return sum(per_lane) / len(per_lane)
-
-
-class _LaneBook(Workload):
-    """Per-tenant acknowledgement book: grading and error notes go to
-    the fleet workload, acked counts stay with the tenant's lane."""
-
-    def __init__(self, owner: FleetRouted, lane: dict):
-        self.owner = owner
-        self.lane = lane
-
-    def note(self, message: str) -> None:
-        self.owner.note(message)
-
-    def acknowledge(self, deltas) -> None:
-        self.lane["acked"] += 1
-        self.lane["acked_sum"] += sum(d for _, d in deltas)
-        self.lane["acked_txs"].append(deltas)
-        self.owner.acknowledge(deltas)
 
 
 # ----------------------------------------------------------------------
