@@ -39,7 +39,6 @@ SALTS = {
     "query-serial": 0x51,
     "ingest-mixed": 0x1A,
     "fleet-routed": 0xF1,
-    "engine-inproc": 0xE9,
 }
 
 

@@ -9,75 +9,87 @@ import multiprocessing
 import os
 import shutil
 import tempfile
-from multiprocessing import shared_memory
 from typing import List
 
 RUN_ROOT = ".perfbench_run"
+SHM_DIR = "/dev/shm"
 
 
 class RunDir:
     """``<checkout>/.perfbench_run/<pid>/``; temporary files of this
-    process and its children are redirected into it."""
+    process and its children are redirected into its ``tmp``."""
 
     def __init__(self, root: str):
         self.base = os.path.join(root, RUN_ROOT)
         self.path = os.path.join(self.base, str(os.getpid()))
         shutil.rmtree(self.path, ignore_errors=True)
         os.makedirs(self.path)
-        tmp = self.sub("tmp")
-        os.environ["TMPDIR"] = tmp
-        tempfile.tempdir = tmp
+        #: Entries of the run directory the workload made itself.
+        self._own = set()
+        self.tmp = self.sub("tmp")
+        os.environ["TMPDIR"] = self.tmp
+        tempfile.tempdir = self.tmp
         self._count = 0
 
     def sub(self, name: str) -> str:
         path = os.path.join(self.path, name)
         os.makedirs(path, exist_ok=True)
+        self._own.add(name)
         return path
 
     def fresh(self, prefix: str) -> str:
-        """A new, empty directory (not created: stores create their own)."""
+        """A new, empty directory (not created: stores create their own);
+        ``<it>.<suffix>`` files beside it are the workload's too."""
         self._count += 1
-        return os.path.join(self.path, f"{prefix}-{self._count:03d}")
+        name = f"{prefix}-{self._count:03d}"
+        self._own.add(name)
+        return os.path.join(self.path, name)
+
+    def leftovers(self) -> List[str]:
+        """Problems for temporary files or directories still under
+        ``tmp`` and for run-directory entries the workload did not make
+        (a data or temporary directory the program leaked)."""
+        problems = []
+        for dirpath, dirnames, filenames in os.walk(self.tmp):
+            for name in sorted(dirnames + filenames):
+                path = os.path.relpath(os.path.join(dirpath, name), self.path)
+                problems.append(f"temporary {path} left behind")
+        for name in sorted(os.listdir(self.path)):
+            if name not in self._own and name.split(".", 1)[0] not in self._own:
+                problems.append(f"{name} left behind in the run directory")
+        return problems
 
     def remove(self) -> List[str]:
-        """Delete the run directory; returns any problem found."""
+        """Report what was left behind, then delete the run directory."""
+        problems = self.leftovers()
         shutil.rmtree(self.path, ignore_errors=True)
         try:
             os.rmdir(self.base)
         except OSError:
             pass  # another run's directory, or already gone
         if os.path.exists(self.path):
-            return [f"run directory {self.path} could not be removed"]
-        return []
+            problems.append(f"run directory {self.path} could not be removed")
+        return problems
 
 
 class ShmWatch:
-    """Counts shared-memory segments created but never unlinked by this
-    process (the sharded tier publishes tables as segments)."""
+    """Shared-memory segments (entries of ``/dev/shm``) that appeared
+    during the run and are still there at its end, whichever process --
+    this one, a serving process or a pool worker -- created them."""
 
     def __init__(self):
-        self.live: set = set()
-        self._init = shared_memory.SharedMemory.__init__
-        self._unlink = shared_memory.SharedMemory.unlink
-        watch = self
+        self.before = self._entries()
 
-        def init(segment, name=None, create=False, size=0, **kwargs):
-            watch._init(segment, name=name, create=create, size=size, **kwargs)
-            if create:
-                watch.live.add(segment.name)
-
-        def unlink(segment):
-            watch._unlink(segment)
-            watch.live.discard(segment.name)
-
-        shared_memory.SharedMemory.__init__ = init
-        shared_memory.SharedMemory.unlink = unlink
+    @staticmethod
+    def _entries() -> set:
+        try:
+            return set(os.listdir(SHM_DIR))
+        except OSError:
+            return set()
 
     def close(self) -> List[str]:
-        shared_memory.SharedMemory.__init__ = self._init
-        shared_memory.SharedMemory.unlink = self._unlink
         return [f"shared-memory segment {name} left behind"
-                for name in sorted(self.live)]
+                for name in sorted(self._entries() - self.before)]
 
 
 def kill_survivors(procs) -> None:

@@ -11,8 +11,9 @@ itself started each one.
 from __future__ import annotations
 
 import gc
+import threading
 import time
-from typing import Callable, Iterable, List, NamedTuple, Tuple
+from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
 
 
 class Record(NamedTuple):
@@ -36,13 +37,20 @@ class Source:
     oracle answers already computed).  The closed loop calls it only
     when the current chunk is used up and keeps that call out of the
     measured time, so answer precomputation never counts as latency.
+    Without ``make_chunk`` the stream is the fixed list ``ops``, all
+    computed before timing starts, and ends when it is used up.
     """
 
-    def __init__(self, make_chunk: Callable[[], list]):
+    def __init__(self, make_chunk: Optional[Callable[[], list]] = None,
+                 ops: Iterable = ()):
         self._make_chunk = make_chunk
-        self._ops: list = []
+        self._ops: list = list(ops)
         self._next = 0
         self.chunks = 0
+
+    @property
+    def refillable(self) -> bool:
+        return self._make_chunk is not None
 
     def refill(self) -> None:
         self._ops = self._make_chunk()
@@ -66,17 +74,26 @@ def closed_loop(
     seconds: float,
     clock: Callable[[], float] = time.perf_counter,
     kind_of: Callable[[object], str] = lambda op: op.kind,
+    stop: Optional[threading.Event] = None,
 ) -> Tuple[List[Record], float]:
     """Run ``execute`` back to back for ``seconds`` of measured time.
 
-    Returns the records and the measured wall time (refills excluded).
+    Loops sharing ``stop`` end together: a loop whose fixed source runs
+    out sets it, and every loop ends once it is set.  Returns the
+    records and the measured wall time (refills excluded).
     """
     records: List[Record] = []
     paused = 0.0
     start = clock()
     while clock() - start - paused < seconds:
+        if stop is not None and stop.is_set():
+            break
         op = source.pop()
         if op is None:
+            if not source.refillable:
+                if stop is not None:
+                    stop.set()
+                break
             before = clock()
             source.refill()
             paused += clock() - before

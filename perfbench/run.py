@@ -11,8 +11,7 @@ every per-layer metric.  Human-readable lines (each metric by name with
 its unit, the stamps, the checks) come first; the last line is one JSON
 object ``{"correct", "attempted", "failed", "metrics"}``.  ``--workload
 all`` runs every declared workload in turn and prints only the
-readable lines.  ``engine-inproc`` is runnable by name but not declared
-(see ``perfbench/README.md``).
+readable lines.
 
 The program is built from ``src/`` of the checkout; without it (or
 without a valid ``BENCHMARK.json``) the runner exits with status 2 and

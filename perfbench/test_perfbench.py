@@ -3,11 +3,14 @@
 import copy
 import json
 import os
+import tempfile
+import threading
+from multiprocessing import shared_memory
 
 import pytest
 
-from perfbench import gen, harness, loops, spec, stats, tracing
-from perfbench.workloads import WORKLOADS, Context, QuerySerial
+from perfbench import gen, harness, hygiene, loops, spec, stats, tracing
+from perfbench.workloads import WORKLOADS, Context, FleetRouted, QuerySerial
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -100,6 +103,18 @@ def test_closed_loop_keeps_refills_out_of_measured_time():
     assert source.chunks == 2
 
 
+def test_closed_loops_sharing_a_stop_end_when_a_fixed_source_runs_out():
+    stop = threading.Event()
+    short = loops.Source(ops=["op"] * 3)
+    records, _ = loops.closed_loop(short, lambda op: True, 60.0,
+                                   kind_of=lambda op: "x", stop=stop)
+    assert len(records) == 3 and stop.is_set()
+    other = loops.Source(ops=["op"] * 100)
+    records, _ = loops.closed_loop(other, lambda op: True, 60.0,
+                                   kind_of=lambda op: "x", stop=stop)
+    assert records == []
+
+
 def test_throughput_is_the_median_window_rate():
     # 10 ops per second for 10 s, except a stalled second with none
     records = [loops.Record("x", 0.0, True, 0.0, t / 10, t / 10 + 0.01)
@@ -131,6 +146,57 @@ def test_generators_are_deterministic_per_seed():
     assert kinds == {"implies", "check", "probe", "delta"}
 
 
+@pytest.fixture
+def rundir(tmp_path, monkeypatch):
+    # RunDir redirects temporary files; undo that after the test
+    monkeypatch.setenv("TMPDIR", os.environ.get("TMPDIR", ""))
+    monkeypatch.setattr(tempfile, "tempdir", tempfile.tempdir)
+    return hygiene.RunDir(str(tmp_path))
+
+
+def _fleet_lanes(seed, rundir):
+    ctx = Context(ROOT, seed, 1.0, False, spec.load(
+        os.path.join(ROOT, "BENCHMARK.json")), rundir)
+    workload = FleetRouted(ctx)
+    workload.prepare()
+    return [lane["source"]._ops for lane in workload.lanes]
+
+
+def test_fleet_lanes_are_precomputed_and_deterministic_per_seed(rundir):
+    first = _fleet_lanes(5, rundir)
+    assert first == _fleet_lanes(5, rundir)
+    assert first != _fleet_lanes(6, rundir)
+    for ops in first:
+        assert len(ops) == int(FleetRouted.LANE_RATE * (1.0 + 2.0))
+        implies = [op.text for op in ops if op.kind == "implies"]
+        assert len(set(implies)) == len(implies)
+
+
+def test_run_dir_reports_leaked_temporary_and_data_directories(rundir):
+    os.makedirs(os.path.join(rundir.fresh("ingest"), "wal"))
+    open(rundir.fresh("ingest") + ".json", "w").close()
+    assert rundir.leftovers() == []
+    os.makedirs(os.path.join(tempfile.gettempdir(), "leaked"))
+    os.makedirs(os.path.join(rundir.path, "stray-data"))
+    problems = rundir.remove()
+    assert problems == ["temporary tmp/leaked left behind",
+                        "stray-data left behind in the run directory"]
+    assert not os.path.exists(rundir.path)
+
+
+@pytest.mark.skipif(not os.path.isdir(hygiene.SHM_DIR), reason="no /dev/shm")
+def test_shm_watch_reports_segments_still_present_at_the_end():
+    watch = hygiene.ShmWatch()
+    segment = shared_memory.SharedMemory(create=True, size=64)
+    try:
+        assert watch.close() == [
+            f"shared-memory segment {segment.name} left behind"]
+    finally:
+        segment.close()
+        segment.unlink()
+    assert watch.close() == []
+
+
 def test_wide_writer_only_deletes_its_own_baskets():
     writer = gen.WideWriter(gen.rng_for("ingest-mixed", 3), 16, (8, 12), 4)
     live = {}
@@ -144,7 +210,7 @@ def test_wide_writer_only_deletes_its_own_baskets():
 
 def test_oracle_tracks_support_and_status_like_core():
     ground = gen.ground_of(6)
-    rng = gen.rng_for("engine-inproc", 1)
+    rng = gen.rng_for("ingest-mixed", 1)
     baskets = gen.seed_baskets(rng, 6, 40, 0.4)
     checks = gen.parse_all(ground, [gen.check_constraint_text(rng, 6)
                                     for _ in range(6)])
@@ -178,7 +244,7 @@ def test_every_per_layer_metric_is_emitted_with_explicit_zeros():
     declared = spec.validate(_spec())
     ctx = Context(ROOT, 1, 1.0, True, declared, None)
     ctx.traced_window = (0.0, 1.0)
-    metrics = harness.layer_metrics(ctx, WORKLOADS["engine-inproc"](ctx),
+    metrics = harness.layer_metrics(ctx, WORKLOADS["query-serial"](ctx),
                                     [], [], None, None, None, None, None,
                                     None, [])
     assert list(metrics) == spec.metric_names(declared, "per_layer")

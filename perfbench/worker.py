@@ -1,11 +1,8 @@
 """Serving-process launcher:
-``python3 perfbench/worker.py DUMP PROC [--materialize-support] serve ...``.
+``python3 perfbench/worker.py DUMP PROC serve ...``.
 
 Runs the shipped ``repro serve`` (``repro.cli.main``) unchanged, for the
-fleet workers and for the durable ingest service.  With
-``--materialize-support`` every session the service builds materializes
-its live support table first (as an operator serving many probes would),
-so each delta also updates the ``2^|basket|`` subsets below it.  When
+fleet workers and for the durable ingest service.  When
 ``PERFBENCH_TRACE=1`` it first wraps the layers' public entry points,
 so the worker's spans come from inside the worker, and ``SIGUSR1``
 toggles the wrappers off and on (the benchmark's untraced half runs
@@ -26,23 +23,8 @@ from repro.cli import main  # noqa: E402
 from repro.engine.decider import shared_cache  # noqa: E402
 
 
-def _materialize_support() -> None:
-    from repro.engine.stream import StreamSession
-
-    build = StreamSession.__init__
-
-    def init(session, *args, **kwargs):
-        build(session, *args, **kwargs)
-        session.context.support_table()
-
-    StreamSession.__init__ = init
-
-
 def run(argv) -> int:
     dump_path, proc, serve_argv = argv[0], argv[1], argv[2:]
-    if serve_argv[:1] == ["--materialize-support"]:
-        serve_argv = serve_argv[1:]
-        _materialize_support()
     recorder = Recorder(proc=proc)
     state = {"patches": None, "cache_on": shared_cache().stats()}
 

@@ -1,28 +1,23 @@
-"""The four workloads.
+"""The three workloads.
 
 Each workload boots the system through the shipped public API
-(``ReproService`` + ``ReproClient``, ``FleetService`` over ``repro
-serve`` workers, or an in-process ``StreamSession``), sets it up
+(``ReproService`` + ``ReproClient``, or ``FleetService`` and
+``ReproClient`` over unmodified ``repro serve`` workers), sets it up
 several times (``setup_s`` is the median), warms it, then drives it
 for the requested seconds.  A traced run (``--trace 1``) drives the
 first half untraced and the second half with every layer wrapped, so
 the per-layer numbers and the tracing overhead come from one run.
 
-Why these workloads (the declared ones are also in BENCHMARK.json):
+Why these workloads (each is declared in BENCHMARK.json):
 
 * ``query-serial`` -- the serving layers (``net``, ``server``) do
   nearly all the work: batching and keep-alive changes move it,
   decider and backend changes should not.
 * ``ingest-mixed`` -- durable writes (``persist``, ``stream``,
-  ``incremental``, ``backends``) paced beside reads that each write
+  ``incremental``) paced beside reads that each write
   invalidates, so a gain for one side that costs the other shows.
 * ``fleet-routed`` -- the only workload with the router relay, quota
   admission and WAL shipping on the path.
-* ``engine-inproc`` -- no sockets: ``decider``, ``incremental``,
-  ``backends`` and ``plan`` do the work.  Runnable by name but not
-  declared: it is CPU-bound end to end, and on the 2-vCPU host it was
-  built on the same seed's figures moved by 25% between runs, more
-  than any bound of at most 25% could hold.
 """
 
 from __future__ import annotations
@@ -428,8 +423,10 @@ class IngestMixed(Workload):
     serve`` process at |S| = 16 (fsync always, periodic snapshots), over
     two connections.  A writer commits wide-basket transactions; a
     reader sends checks and probes whose answers each write
-    invalidates.  The service materializes its live support table, so
-    every delta pays the ``2^|basket|`` subset update.
+    invalidates.  The service is ``repro serve`` as shipped: it keeps
+    no live support table, so a delta updates the density and the
+    tracked constraints' statuses, and a probe sums the nonzero density
+    entries.
 
     Reader answers are graded against the oracle state after ``k``
     writes for every ``k`` between the writes acknowledged before the
@@ -495,7 +492,7 @@ class IngestMixed(Workload):
     def boot(self):
         directory = self.ctx.rundir.fresh("ingest")
         command = self.launcher("service", directory + ".json", [
-            "--materialize-support", "serve", self.constraint_file,
+            "serve", self.constraint_file,
             "--port", "0", "--host", "127.0.0.1",
             "--baskets", self.basket_file, "--data-dir", directory,
             "--snapshot-every", str(self.SNAPSHOT_EVERY)])
@@ -687,7 +684,7 @@ class IngestMixed(Workload):
         return tracing.load_dump(system["dump"])["extra"]["maxrss_kb"] / 1024.0
 
     def disk_bytes_per_tx(self, system):
-        header = wal_header_bytes(self.ctx.rundir.sub("tmp"))
+        header = wal_header_bytes(self.ctx.rundir.tmp)
         return store_bytes_per_tx(self.ground, [system["dir"]], self.acked_txs,
                                   self.SNAPSHOT_EVERY, header)
 
@@ -700,7 +697,10 @@ class FleetRouted(Workload):
     ``HashRing`` places on different workers of a 2-worker
     ``FleetService``.  Workers are durable ``repro serve`` processes
     that ship their WAL to a standby.  Each tenant sends distinct cold
-    implies and wide-basket ``/delta`` transactions.  In the traced half
+    implies and wide-basket ``/delta`` transactions, all generated and
+    answered by the oracle before the first set-up, so no lane's input
+    work stalls the other lane or the in-process router while timed.
+    In the traced half
     every other request goes straight to the tenant's worker, which
     gives the router's share of the latency."""
 
@@ -709,6 +709,10 @@ class FleetRouted(Workload):
     WORKERS = 2
     SETUPS = 3
     SNAPSHOT_EVERY = 500
+    #: Operations precomputed per tenant and second of load, about 2.5
+    #: times the rate one tenant reached on the 2-vCPU host it was built
+    #: on; a tenant that uses them up ends the drive for both.
+    LANE_RATE = 600
 
     def prepare(self) -> None:
         rng = gen.rng_for(self.NAME, self.ctx.seed)
@@ -728,12 +732,12 @@ class FleetRouted(Workload):
             if ring.route(name) == len(self.tenants):
                 self.tenants.append(name)
             k += 1
-        self.seen: set = set()
-        self.lanes = [self._lane(i) for i in range(self.WORKERS)]
+        budget = int(self.LANE_RATE * (WARM_SECONDS + self.ctx.seconds))
+        self.lanes = [self._lane(i, budget) for i in range(self.WORKERS)]
         #: Which worker served each record (the tenant's lane).
         self.record_proc: Dict[int, str] = {}
 
-    def _lane(self, index: int) -> dict:
+    def _lane(self, index: int, budget: int) -> dict:
         lane = {
             "index": index,
             "oracle": gen.DensityOracle(self.ground, self.baskets),
@@ -744,14 +748,16 @@ class FleetRouted(Workload):
             "tx": 0, "acked": 0, "acked_sum": 0, "acked_txs": [],
             "direct": False, "alternate": False,
         }
-        lane["source"] = Source(lambda: self._chunk(lane))
+        lane["source"] = Source(ops=self._ops(lane, budget))
         return lane
 
-    def _chunk(self, lane: dict, size: int = 1500) -> List[Op]:
-        rng, ops = lane["mix"], []
-        for _ in range(size):
+    def _ops(self, lane: dict, count: int) -> List[Op]:
+        """The tenant's operations; targets are distinct within a tenant,
+        whose worker is the only one that sees them."""
+        rng, seen, ops = lane["mix"], set(), []
+        for _ in range(count):
             if rng.random() < 0.5:
-                text = gen.cold_targets(rng, self.N, 1, (2, 4), self.seen)[0]
+                text = gen.cold_targets(rng, self.N, 1, (2, 4), seen)[0]
                 target = gen.parse_all(self.ground, [text])[0]
                 ops.append(Op("implies", text,
                               expect=self.implies_oracle.implies(target)))
@@ -801,6 +807,7 @@ class FleetRouted(Workload):
 
     def _run(self, system, seconds: float, alternate: bool):
         results: Dict[int, Tuple[List[Record], float]] = {}
+        stop = threading.Event()
 
         def lane_loop(lane):
             routed, direct = self._clients(system, lane)
@@ -816,7 +823,7 @@ class FleetRouted(Workload):
                 return ("direct." if turn["direct"] else "") + op.kind
 
             results[lane["index"]] = loops.closed_loop(
-                lane["source"], execute, seconds, kind_of=kind_of)
+                lane["source"], execute, seconds, kind_of=kind_of, stop=stop)
 
         threads = [threading.Thread(target=lane_loop, args=(lane,),
                                     name=f"perfbench-tenant-{lane['index']}")
@@ -899,7 +906,7 @@ class FleetRouted(Workload):
         return super().rss_mb(system) + workers / 1024.0
 
     def disk_bytes_per_tx(self, system):
-        header = wal_header_bytes(self.ctx.rundir.sub("tmp"))
+        header = wal_header_bytes(self.ctx.rundir.tmp)
         per_lane = []
         for lane in self.lanes:
             i = lane["index"]
@@ -909,109 +916,5 @@ class FleetRouted(Workload):
         return sum(per_lane) / len(per_lane)
 
 
-# ----------------------------------------------------------------------
-# engine-inproc
-# ----------------------------------------------------------------------
-class EngineInproc(Workload):
-    """Closed loop, one thread, no sockets: a ``StreamSession`` (default
-    ``EngineConfig``, engine auto) at |S| = 16 seeded from a basket
-    density with its support table materialized.  Wide-basket
-    transactions interleave with distinct cold ``ConstraintSet.implies``
-    against a 32-constraint set, live checks and support probes.  Implies
-    are 60% of the queries, so the query median sits inside their latency
-    cluster rather than on a boundary with the cheaper kinds."""
-
-    NAME = "engine-inproc"
-    N = 16
-
-    def prepare(self) -> None:
-        rng = gen.rng_for(self.NAME, self.ctx.seed)
-        self.ground = gen.ground_of(self.N)
-        self.baskets = gen.seed_baskets(rng, self.N, 3000, 0.25)
-        self.seed_counts = BasketDatabase(self.ground,
-                                          self.baskets).multiset_counts()
-        big = [gen.random_constraint_text(rng, self.N, (1, 3), (1, 3), (1, 2))
-               for _ in range(32)]
-        self.big = ConstraintSet(self.ground, gen.parse_all(self.ground, big))
-        self.tracked = gen.parse_all(self.ground, big[:10])
-        self.implies_oracle = gen.ImpliesOracle(self.big)
-        self.check_texts = balanced_checks(rng, self.ground, self.baskets, 12)
-        self.checks = gen.parse_all(self.ground, self.check_texts)
-        self.probes = [gen.random_mask(rng, self.N, rng.randint(1, 3))
-                       for _ in range(16)]
-        self.oracle = gen.DensityOracle(self.ground, self.baskets, self.probes,
-                                        self.checks)
-        self.writer = gen.WideWriter(gen.rng_for(self.NAME, self.ctx.seed, 1),
-                                     self.N, (8, 12), 64)
-        self.mix = gen.rng_for(self.NAME, self.ctx.seed, 2)
-        self.seen: set = set()
-        self.tx = 0
-        self.source = Source(self._chunk)
-
-    def _chunk(self, size: int = 4000) -> List[Op]:
-        rng, ops = self.mix, []
-        for _ in range(size):
-            r = rng.random()
-            if r < 0.30:
-                deltas = self.writer.next_tx()
-                self.oracle.apply(deltas)
-                self.tx += 1
-                ops.append(Op("apply", deltas=deltas, expect=self.tx))
-            elif r < 0.72:
-                # wide left-hand sides keep the oracle's walk of L(X, Y)
-                # short; the engine's table work does not depend on it
-                text = gen.cold_targets(rng, self.N, 1, (7, 9), self.seen)[0]
-                target = gen.parse_all(self.ground, [text])[0]
-                ops.append(Op("implies", text, target,
-                              expect=self.implies_oracle.implies(target)))
-            elif r < 0.86:
-                i = rng.randrange(len(self.checks))
-                ops.append(Op("check", self.check_texts[i], self.checks[i],
-                              expect=self.oracle.satisfied(i)))
-            else:
-                p = rng.choice(self.probes)
-                ops.append(Op("support", gen.text_of(p),
-                              expect=self.oracle.support[p]))
-        return ops
-
-    def _execute(self, session: StreamSession, op: Op) -> bool:
-        if op.kind == "apply":
-            report = session.apply(op.deltas)
-            if report.tx != op.expect:
-                self.note(f"apply committed as tx {report.tx}, "
-                          f"expected {op.expect}")
-                return False
-            self.acknowledge(op.deltas)
-            return True
-        if op.kind == "implies":
-            return self.graded(op, self.big.implies(op.obj))
-        if op.kind == "check":
-            return self.graded(op, op.obj.satisfied_by(session.context))
-        return self.graded(op, session.support(op.text))
-
-    def boot(self):
-        session = StreamSession(self.ground, constraints=self.tracked,
-                                density=dict(self.seed_counts))
-        session.context.support_table()
-        return session
-
-    def halt(self, session) -> None:
-        session.close()
-
-    def warm(self, session):
-        return self.drive(session, WARM_SECONDS, False)[0]
-
-    def drive(self, session, seconds, traced):
-        return loops.closed_loop(
-            self.source, lambda op: self._execute(session, op), seconds)
-
-    def check_live(self, session) -> List[str]:
-        return conservation(session.support(""), self.oracle.seed_mass,
-                            self.acked_sum)
-
-    def plans(self, session):
-        return {"session": session.plan.as_dict()}
-
-
 WORKLOADS = {cls.NAME: cls for cls in
-             (QuerySerial, IngestMixed, FleetRouted, EngineInproc)}
+             (QuerySerial, IngestMixed, FleetRouted)}
