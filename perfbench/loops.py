@@ -10,7 +10,6 @@ itself started each one.
 
 from __future__ import annotations
 
-import gc
 import threading
 import time
 from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
@@ -31,39 +30,18 @@ class Record(NamedTuple):
 
 
 class Source:
-    """An operation stream consumed in chunks.
+    """A fixed operation stream, generated and answered by the oracle
+    before timing starts, so answer precomputation never runs while a
+    load loop is timed.  A closed loop ends when it is used up."""
 
-    ``make_chunk()`` returns the next list of operations (with their
-    oracle answers already computed).  The closed loop calls it only
-    when the current chunk is used up and keeps that call out of the
-    measured time, so answer precomputation never counts as latency.
-    Without ``make_chunk`` the stream is the fixed list ``ops``, all
-    computed before timing starts, and ends when it is used up.
-    """
-
-    def __init__(self, make_chunk: Optional[Callable[[], list]] = None,
-                 ops: Iterable = ()):
-        self._make_chunk = make_chunk
-        self._ops: list = list(ops)
+    def __init__(self, ops: Iterable):
+        self.ops: list = list(ops)
         self._next = 0
-        self.chunks = 0
-
-    @property
-    def refillable(self) -> bool:
-        return self._make_chunk is not None
-
-    def refill(self) -> None:
-        self._ops = self._make_chunk()
-        self._next = 0
-        self.chunks += 1
-        # the benchmark's own inputs are long-lived: keep them out of the
-        # collector's way so its pauses do not land on the service
-        gc.freeze()
 
     def pop(self):
-        if self._next >= len(self._ops):
+        if self._next >= len(self.ops):
             return None
-        op = self._ops[self._next]
+        op = self.ops[self._next]
         self._next += 1
         return op
 
@@ -76,33 +54,28 @@ def closed_loop(
     kind_of: Callable[[object], str] = lambda op: op.kind,
     stop: Optional[threading.Event] = None,
 ) -> Tuple[List[Record], float]:
-    """Run ``execute`` back to back for ``seconds`` of measured time.
+    """Run ``execute`` back to back for ``seconds``, or until ``source``
+    runs out.
 
-    Loops sharing ``stop`` end together: a loop whose fixed source runs
-    out sets it, and every loop ends once it is set.  Returns the
-    records and the measured wall time (refills excluded).
+    Loops sharing ``stop`` end together: a loop whose source runs out
+    sets it, and every loop ends once it is set.  Returns the records
+    and the measured wall time.
     """
     records: List[Record] = []
-    paused = 0.0
     start = clock()
-    while clock() - start - paused < seconds:
+    while clock() - start < seconds:
         if stop is not None and stop.is_set():
             break
         op = source.pop()
         if op is None:
-            if not source.refillable:
-                if stop is not None:
-                    stop.set()
-                break
-            before = clock()
-            source.refill()
-            paused += clock() - before
-            continue
+            if stop is not None:
+                stop.set()
+            break
         t0 = clock()
         ok = execute(op)
         t1 = clock()
         records.append(Record(kind_of(op), t1 - t0, ok, 0.0, t0, t1))
-    return records, clock() - start - paused
+    return records, clock() - start
 
 
 def open_loop(

@@ -85,31 +85,26 @@ def test_open_loop_charges_a_stall_to_every_queued_operation():
     assert all(r.ok for r in records)
 
 
-def test_closed_loop_keeps_refills_out_of_measured_time():
+def test_closed_loop_runs_for_the_requested_seconds():
     clock = FakeClock()
-
-    def chunk():
-        clock.now += 5.0  # answer precomputation
-        return ["op"] * 3
 
     def execute(op):
         clock.now += 0.5
         return True
 
-    source = loops.Source(chunk)
-    records, elapsed = loops.closed_loop(source, execute, 2.0, clock=clock,
+    records, elapsed = loops.closed_loop(loops.Source(["op"] * 100), execute,
+                                         2.0, clock=clock,
                                          kind_of=lambda op: "x")
     assert len(records) == 4 and elapsed == 2.0
-    assert source.chunks == 2
 
 
 def test_closed_loops_sharing_a_stop_end_when_a_fixed_source_runs_out():
     stop = threading.Event()
-    short = loops.Source(ops=["op"] * 3)
+    short = loops.Source(["op"] * 3)
     records, _ = loops.closed_loop(short, lambda op: True, 60.0,
                                    kind_of=lambda op: "x", stop=stop)
     assert len(records) == 3 and stop.is_set()
-    other = loops.Source(ops=["op"] * 100)
+    other = loops.Source(["op"] * 100)
     records, _ = loops.closed_loop(other, lambda op: True, 60.0,
                                    kind_of=lambda op: "x", stop=stop)
     assert records == []
@@ -130,12 +125,12 @@ def test_fixed_rate_schedule():
 # ----------------------------------------------------------------------
 # generators are a pure function of the seed
 # ----------------------------------------------------------------------
-def _query_serial_ops(seed, chunks=2):
+def _query_serial_ops(seed):
     ctx = Context(ROOT, seed, 1.0, False, spec.load(
         os.path.join(ROOT, "BENCHMARK.json")), None)
     workload = QuerySerial(ctx)
     workload.prepare()
-    return [op for _ in range(chunks) for op in workload._chunk(300)]
+    return workload.source.ops
 
 
 def test_generators_are_deterministic_per_seed():
@@ -159,7 +154,7 @@ def _fleet_lanes(seed, rundir):
         os.path.join(ROOT, "BENCHMARK.json")), rundir)
     workload = FleetRouted(ctx)
     workload.prepare()
-    return [lane["source"]._ops for lane in workload.lanes]
+    return [lane["source"].ops for lane in workload.lanes]
 
 
 def test_fleet_lanes_are_precomputed_and_deterministic_per_seed(rundir):
