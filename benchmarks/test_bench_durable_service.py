@@ -26,7 +26,7 @@ import tempfile
 import time
 
 from repro.core import ConstraintSet, GroundSet
-from repro.engine import ReproService, StreamSession
+from repro.engine import EngineConfig, ReproService, StreamSession
 
 from _harness import format_table, report
 
@@ -52,11 +52,14 @@ def _workload():
     return ground, cset, transactions
 
 
-def _session_kwargs(ground, cset, variant, data_dir):
-    kwargs = dict(constraints=cset.constraints)
-    if variant != "off":
-        kwargs.update(durable=data_dir, fsync=variant)
-    return kwargs
+#: Every session here runs the incremental tier on the exact backend.
+EXACT = EngineConfig(engine="incremental", backend="exact")
+
+
+def _session_config(variant, data_dir) -> EngineConfig:
+    if variant == "off":
+        return EXACT
+    return EXACT.replace(durable=data_dir, fsync=variant)
 
 
 def _time_session(ground, cset, transactions, variant) -> float:
@@ -65,7 +68,9 @@ def _time_session(ground, cset, transactions, variant) -> float:
         data_dir = tempfile.mkdtemp(prefix="e18-")
         try:
             session = StreamSession(
-                ground, **_session_kwargs(ground, cset, variant, data_dir)
+                ground,
+                constraints=cset.constraints,
+                config=_session_config(variant, data_dir),
             )
             t0 = time.perf_counter()
             for deltas in transactions:
@@ -82,7 +87,9 @@ def _time_http(ground, cset, transactions, variant) -> float:
     data_dir = tempfile.mkdtemp(prefix="e18-")
     try:
         session = StreamSession(
-            ground, **_session_kwargs(ground, cset, variant, data_dir)
+            ground,
+            constraints=cset.constraints,
+            config=_session_config(variant, data_dir),
         )
         handle = ReproService(cset, session=session).start_in_thread()
         try:
@@ -162,7 +169,9 @@ class TestDurableService:
         # pytest-benchmark row: the durable commit hot path (no fsync)
         data_dir = tempfile.mkdtemp(prefix="e18-bench-")
         session = StreamSession(
-            ground, **_session_kwargs(ground, cset, "never", data_dir)
+            ground,
+            constraints=cset.constraints,
+            config=_session_config("never", data_dir),
         )
         state = {"i": 0}
 
@@ -183,8 +192,9 @@ class TestDurableService:
         data_dir = tempfile.mkdtemp(prefix="e18-")
         try:
             session = StreamSession(
-                ground, constraints=cset.constraints, durable=data_dir,
-                fsync="never",
+                ground,
+                constraints=cset.constraints,
+                config=_session_config("never", data_dir),
             )
             for deltas in transactions:
                 session.apply(deltas)
@@ -195,7 +205,9 @@ class TestDurableService:
             )
             session.close()
             recovered = StreamSession(
-                ground, constraints=cset.constraints, durable=data_dir
+                ground,
+                constraints=cset.constraints,
+                config=EXACT.replace(durable=data_dir),
             )
             assert (
                 list(recovered.context.density_table()),

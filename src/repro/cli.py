@@ -12,9 +12,9 @@ reason about constraint files without writing Python:
     workload -- tier, backend, shards, workers -- and, with
     ``--explain``, the cost-model reasoning line by line.  Every
     subcommand shares the same ``--engine
-    auto|scalar|batched|incremental|sharded`` selection; the
-    pre-planner ``--backend``/``--shards``/``--workers`` flags remain
-    as deprecated pinning aliases.
+    auto|scalar|batched|incremental|sharded`` selection, and
+    ``--backend``/``--shards``/``--workers`` pin those knobs of the
+    resolved plan.
 
 ``derive``
     Print a checked derivation of the target (Figure 1/2 or
@@ -134,15 +134,16 @@ def _read(path: str) -> List[str]:
         return fh.read().splitlines()
 
 
-def engine_config_from_args(args, err: Optional[TextIO] = None) -> EngineConfig:
+def engine_config_from_args(args) -> EngineConfig:
     """One :class:`EngineConfig` from the shared ``engine`` argparse
     group -- the single place CLI engine flags become configuration.
 
-    ``--engine`` requests a tier (``auto`` lets the planner choose);
-    the pre-planner ``--backend``/``--shards``/``--workers`` aliases
-    keep working as pinned knobs but print a deprecation notice on
-    ``err``.  Durability flags (``--data-dir``/``--snapshot-every``/
-    ``--fsync``) ride along when the subcommand has them.
+    ``--engine`` requests a tier (default ``auto``: the planner
+    chooses); ``--backend``/``--shards``/``--workers`` pin those knobs,
+    and ``--shards`` above 1 with ``--engine auto`` selects the sharded
+    tier.  Unpinned knobs stay ``None`` for the planner.  Durability
+    flags (``--data-dir``/``--snapshot-every``/``--fsync``) ride along
+    when the subcommand has them.
     """
     backend = getattr(args, "backend", None)
     shards = getattr(args, "shards", None)
@@ -151,22 +152,9 @@ def engine_config_from_args(args, err: Optional[TextIO] = None) -> EngineConfig:
         raise ValueError(f"--shards must be >= 1, got {shards}")
     if workers is not None and workers < 1:
         raise ValueError(f"--workers must be >= 1, got {workers}")
-    deprecated = [
-        f"--{name}"
-        for name, value in (
-            ("backend", backend), ("shards", shards), ("workers", workers)
-        )
-        if value is not None
-    ]
-    if deprecated and err is not None:
-        print(
-            f"# deprecated: {', '.join(deprecated)} -- prefer --engine "
-            "and the planner (see 'repro plan --explain')",
-            file=err,
-        )
     engine = getattr(args, "engine", "auto")
     if engine == "auto" and shards is not None and shards > 1:
-        # the legacy alias pinned the tier implicitly: keep doing so
+        # a pinned shard count implies the sharded tier
         engine = "sharded"
     if shards is not None and shards > 1 and workers is None:
         # historic CLI default: CPU count capped by the shard count
@@ -194,7 +182,7 @@ def _cmd_implies(args, out: TextIO) -> int:
 
     ground, cset = parse_constraint_file(_read(args.file))
     target = DifferentialConstraint.parse(ground, args.target)
-    config = engine_config_from_args(args, err=sys.stderr)
+    config = engine_config_from_args(args)
     plan = default_planner().plan(
         Workload(n=ground.size, constraints=len(cset), queries=1), config
     )
@@ -223,7 +211,7 @@ def _cmd_implies(args, out: TextIO) -> int:
 def _cmd_plan(args, out: TextIO) -> int:
     """``repro plan [--explain]``: show the planner's resolution."""
     ground, cset = parse_constraint_file(_read(args.file))
-    config = engine_config_from_args(args, err=sys.stderr)
+    config = engine_config_from_args(args)
     density_size = 0
     streaming = False
     if args.baskets:
@@ -351,7 +339,7 @@ def _cmd_stream(args, out: TextIO) -> int:
         basket_ground, db = parse_basket_file(_read(args.baskets))
         ground.check_same(basket_ground)
         density = db.multiset_counts()
-    config = engine_config_from_args(args, err=sys.stderr)
+    config = engine_config_from_args(args)
     session = cset.stream_session(density=density, config=config)
     print(_engine_stamp_line(session.plan), file=out)
     if args.data_dir and session.transactions:
@@ -442,7 +430,7 @@ def _cmd_serve(args, out: TextIO) -> int:
             "as a network service)"
         )
     queries = parse_query_file(ground, _read(args.queries))
-    config = engine_config_from_args(args, err=sys.stderr)
+    config = engine_config_from_args(args)
     if config.shards is None and config.engine == "auto":
         # the batch server historically ran a single inline shard
         # unless the user asked for more; an explicit --engine sharded
@@ -501,7 +489,7 @@ def _serve_network(args, ground, cset, out: TextIO) -> int:
     from repro.engine.net import ReproService
     from repro.engine.stream import StreamSession
 
-    config = engine_config_from_args(args, err=sys.stderr)
+    config = engine_config_from_args(args)
     ship_to = getattr(args, "ship_to", None)
     if ship_to:
         if not args.data_dir:
@@ -914,7 +902,7 @@ def _add_durability_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     """The shared engine-selection group (one definition, every
-    subcommand): ``--engine`` plus the deprecated pinning aliases."""
+    subcommand): ``--engine`` plus the backend/shards/workers pins."""
     grp = p.add_argument_group(
         "engine",
         "evaluation-engine selection: request a tier with --engine and "
@@ -932,19 +920,19 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
         "--backend",
         default=None,
         choices=["exact", "exact-vec", "float"],
-        help="[deprecated alias] pin the numeric backend",
+        help="pin the numeric backend",
     )
     grp.add_argument(
         "--shards",
         type=int,
         default=None,
-        help="[deprecated alias] pin the horizontal shard count",
+        help="pin the horizontal shard count",
     )
     grp.add_argument(
         "--workers",
         type=int,
         default=None,
-        help="[deprecated alias] pin the worker-process count",
+        help="pin the worker-process count",
     )
 
 

@@ -147,10 +147,10 @@ class ConstraintSet:
 
         ``density`` optionally seeds the instance (``{mask: value}``);
         ``config`` is the :class:`repro.engine.EngineConfig` the planner
-        resolves the session from (the pre-planner ``backend=`` /
-        ``shards=`` / ``workers=`` / ``durable=`` kwargs still pass
-        through -- the session shims them with a deprecation warning).
-        Remaining keyword arguments pass through to the session.
+        resolves the session from (with no ``config``, the incremental
+        tier on the exact backend:
+        :data:`repro.engine.stream.DEFAULT_CONFIG`).  Remaining keyword
+        arguments pass through to the session.
         """
         from repro.engine.stream import StreamSession
 
@@ -159,7 +159,6 @@ class ConstraintSet:
             constraints=self._constraints,
             density=density,
             config=config,
-            _depth=1,
             **kwargs,
         )
 

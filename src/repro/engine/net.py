@@ -219,7 +219,9 @@ class ReproService:
     session:
         The live :class:`StreamSession` behind ``/check``, ``/delta``
         and ``/probe`` (durable or not).  ``None`` builds an empty
-        in-memory session over ``constraints.ground``.
+        session over ``constraints.ground`` from ``config`` (with no
+        ``config`` either: the incremental tier on the exact backend,
+        :data:`repro.engine.stream.DEFAULT_CONFIG`).
     parse_constraint:
         ``text -> constraint`` for request bodies.  Defaults to
         ``constraints.parse`` when the set provides one.
@@ -229,7 +231,7 @@ class ReproService:
     queue_size:
         Concurrent-request admission bound (backpressure): past it,
         requests are refused with 503 instead of queueing unboundedly.
-    max_batch / max_delay / cache_size:
+    max_batch / max_delay:
         Passed to the underlying :class:`ConstraintServer`.
     on_ready:
         ``(host, port) -> None`` called once the socket is bound (the
@@ -252,7 +254,6 @@ class ReproService:
         queue_size: int = 128,
         max_batch: int = 64,
         max_delay: float = 0.002,
-        cache_size: Optional[int] = None,
         on_ready: Optional[Callable[[str, int], None]] = None,
         config=None,
     ):
@@ -269,7 +270,6 @@ class ReproService:
                 config=config,
             )
         self._session = session
-        self._config = config if config is not None else session.config
         if parse_constraint is None:
             parse_constraint = getattr(constraints, "parse", None)
         if parse_constraint is None:
@@ -286,7 +286,6 @@ class ReproService:
             instance=session.context,
             max_batch=max_batch,
             max_delay=max_delay,
-            cache_size=cache_size,
             config=config,
         )
         self._on_ready = on_ready
@@ -518,10 +517,13 @@ class ReproService:
                     installed.append(sig)
                 except (NotImplementedError, RuntimeError, ValueError):
                     pass  # non-main thread or unsupported platform
-        await self._batcher.start()
         server = await asyncio.start_server(
             self._wrap_connection, host=self._host, port=self._port
         )
+        # started only once the bind succeeded: a failed bind must not
+        # leave a pending dispatcher task behind on a closing loop (no
+        # handler can run before this line -- start() never yields)
+        await self._batcher.start()
         try:
             self._port = server.sockets[0].getsockname()[1]
             if self._on_ready is not None:

@@ -80,14 +80,13 @@ Like the rest of the engine this module imports nothing from
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.engine.calibrate import effective_cpus
 from repro.engine.context import EvalContext
 from repro.engine.incremental import DEFAULT_TOLERANCE
-from repro.errors import EngineDeprecationWarning, PlanError
+from repro.errors import PlanError
 
 __all__ = [
     "EngineConfig",
@@ -99,7 +98,6 @@ __all__ = [
     "default_fleet_workers",
     "default_planner",
     "plan_of_context",
-    "warn_deprecated_kwargs",
 ]
 
 #: The tiers, cheapest first.  ``auto`` is a request, not a tier.
@@ -111,22 +109,6 @@ LIVE_TIERS = ("incremental", "sharded")
 #: Mirrors ``repro.core.ground.MAX_DENSE_SIZE`` (engine layering keeps
 #: this module from importing core; the test suite asserts agreement).
 DENSE_LIMIT = 22
-
-_UNSET = object()
-
-
-def warn_deprecated_kwargs(names, where: str, stacklevel: int = 3) -> None:
-    """Emit the engine-kwargs deprecation warning, attributed to the
-    caller of the deprecated API (so the test suite's gate fires on
-    internal repro callers but merely warns external ones)."""
-    joined = ", ".join(f"{name}=" for name in names)
-    warnings.warn(
-        f"{where}: the {joined} kwarg(s) are deprecated; pass "
-        f"config=EngineConfig(...) and let the planner resolve the tier "
-        f"(see repro.engine.plan)",
-        EngineDeprecationWarning,
-        stacklevel=stacklevel,
-    )
 
 
 @dataclass(frozen=True)
@@ -187,29 +169,6 @@ class EngineConfig:
     def replace(self, **changes) -> "EngineConfig":
         """A copy of this config with ``changes`` applied."""
         return dataclasses.replace(self, **changes)
-
-    @classmethod
-    def from_legacy(
-        cls,
-        backend=None,
-        shards=None,
-        workers=None,
-        durable=None,
-        **extra,
-    ) -> "EngineConfig":
-        """The deprecation shim's translation: pre-planner kwargs become
-        a fully pinned config reproducing the historic behavior exactly
-        (``shards > 1`` forced the sharded tier, anything else the plain
-        incremental one; an unset ``backend`` meant exact)."""
-        shards = 1 if shards is None else shards
-        return cls(
-            engine="sharded" if shards > 1 else "incremental",
-            backend=backend or "exact",
-            shards=shards,
-            workers=workers,
-            durable=durable,
-            **extra,
-        )
 
 
 @dataclass(frozen=True)
@@ -798,8 +757,9 @@ def build_context(
 
 
 def plan_of_context(context, config: Optional[EngineConfig] = None) -> Plan:
-    """Describe an existing context as a :class:`Plan` (for stamping and
-    ``/stats`` on sessions built through the legacy kwargs shims)."""
+    """Describe an existing context as a :class:`Plan` (for stamping a
+    context that was built outside a session, e.g. by
+    :meth:`repro.fis.BasketDatabase.sharded_context`)."""
     from repro.engine.incremental import IncrementalEvalContext
     from repro.engine.shard import ShardedEvalContext
 

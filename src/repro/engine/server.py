@@ -44,6 +44,7 @@ from repro.engine.decider import (
     decide_batched,
     shared_cache,
 )
+from repro.engine.plan import EngineConfig
 
 __all__ = ["ConstraintServer", "ServerStats", "serve_queries"]
 
@@ -93,16 +94,15 @@ class ConstraintServer:
     max_batch / max_delay:
         Microbatch bounds: a batch closes at ``max_batch`` requests or
         after ``max_delay`` seconds past the first arrival.
-    cache_size:
-        LRU bound on memoized answers (default: the config's budget
-        when one is supplied, else 4096).
     cache:
         The :class:`ImplicationCache` handed to the decider (the
         process-wide shared one by default).
     config:
         An optional :class:`repro.engine.EngineConfig`: supplies the
         answer-LRU budget (``cache_size``) and the private-cache flag,
-        so one config object configures the whole serving stack.
+        so one config object configures the whole serving stack.  With
+        no ``config`` the budget is ``EngineConfig().cache_size``
+        (4096) and the decider uses ``cache``.
     """
 
     def __init__(
@@ -111,16 +111,14 @@ class ConstraintServer:
         instance=None,
         max_batch: int = 64,
         max_delay: float = 0.002,
-        cache_size: Optional[int] = None,
         cache: Optional[ImplicationCache] = None,
         config=None,
     ):
-        if cache_size is None:
-            # one EngineConfig supplies the cache budgets for the whole
-            # serving stack (see repro.engine.plan); an explicit
-            # cache_size always wins over the config's budget
-            cache_size = config.cache_size if config is not None else 4096
-        if config is not None and cache is None and config.private_cache:
+        # one EngineConfig supplies the cache budgets for the whole
+        # serving stack (see repro.engine.plan)
+        if config is None:
+            config = EngineConfig()
+        if cache is None and config.private_cache:
             cache = ImplicationCache()
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
@@ -129,7 +127,7 @@ class ConstraintServer:
         self._instance = instance
         self._max_batch = max_batch
         self._max_delay = max_delay
-        self._answers = _Lru(cache_size, max_bytes=16 << 20)
+        self._answers = _Lru(config.cache_size, max_bytes=16 << 20)
         self._decider_cache = cache if cache is not None else shared_cache()
         self._queue: Optional[asyncio.Queue] = None
         self._dispatcher: Optional[asyncio.Task] = None

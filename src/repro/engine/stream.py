@@ -20,15 +20,16 @@ Subsets use the same shorthand as constraint files (``ground.parse``);
 ``#`` comments and blank lines are ignored; a trailing transaction
 without ``commit`` is committed implicitly.
 
-Sessions can be **durable**: ``durable=<data dir>`` attaches a
-:class:`~repro.engine.persist.DurableStore`, every committed
+Sessions can be **durable**: ``EngineConfig(durable=<data dir>)``
+attaches a :class:`~repro.engine.persist.DurableStore`, every committed
 transaction is appended to a CRC-framed write-ahead log *before* it is
 applied (in exactly the transaction-log format above), and
 :meth:`StreamSession.snapshot` persists the live density with its
 consistency counters and compacts the log.  Reopening a session on the
 same directory recovers: load the newest snapshot, assert its counters
-against the seeded state, replay the log tail.  ``snapshot_every=N``
-snapshots automatically every ``N`` transactions.
+against the seeded state, replay the log tail.
+``EngineConfig(snapshot_every=N)`` snapshots automatically every ``N``
+transactions.
 
 Like the rest of the engine, this module imports nothing from
 :mod:`repro.core`; ground sets and constraints are duck-typed.
@@ -36,15 +37,10 @@ Like the rest of the engine, this module imports nothing from
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.engine.backends import Backend
 from repro.engine.decider import ImplicationCache
-from repro.engine.incremental import (
-    DEFAULT_TOLERANCE,
-    IncrementalEvalContext,
-    Number,
-)
+from repro.engine.incremental import IncrementalEvalContext, Number
 from repro.engine.plan import (
     EngineConfig,
     Plan,
@@ -52,7 +48,6 @@ from repro.engine.plan import (
     Workload,
     build_context,
     default_planner,
-    warn_deprecated_kwargs,
 )
 from repro.engine.persist import (
     DurableStore,
@@ -68,77 +63,10 @@ from repro.errors import PersistenceError, PlanError
 
 __all__ = ["StreamReport", "StreamSession", "parse_transaction_log"]
 
-_UNSET = object()
+#: The engine policy of a session built without ``config=``: the plain
+#: incremental tier on the exact backend, never re-planned.
+DEFAULT_CONFIG = EngineConfig(engine="incremental", backend="exact")
 
-
-def _resolve_session_config(
-    config: Optional[EngineConfig],
-    backend,
-    shards,
-    workers,
-    durable,
-    shard_plan,
-    where: str,
-    tol: float,
-    snapshot_every,
-    fsync: str,
-    private_cache: bool,
-    stacklevel: int = 4,
-) -> EngineConfig:
-    """Merge the deprecated kwargs shim and ``config=`` into one
-    :class:`EngineConfig` (shared by :class:`StreamSession` and the
-    high-level wrappers that front it)."""
-    legacy = {
-        name: value
-        for name, value in (
-            ("backend", backend),
-            ("shards", shards),
-            ("workers", workers),
-            ("durable", durable),
-        )
-        if value is not _UNSET
-    }
-    if legacy:
-        if config is not None:
-            raise ValueError(
-                f"{where}: pass config=EngineConfig(...) or the "
-                f"deprecated {', '.join(sorted(legacy))} kwargs, not both"
-            )
-        warn_deprecated_kwargs(
-            sorted(legacy), where, stacklevel=stacklevel
-        )
-    if config is None:
-        if "backend" in legacy and not isinstance(
-            legacy["backend"], (str, type(None))
-        ):
-            legacy["backend"] = legacy["backend"].name
-        config = EngineConfig.from_legacy(
-            **legacy,
-            tol=tol,
-            snapshot_every=snapshot_every,
-            fsync=fsync,
-            private_cache=private_cache,
-        )
-        if shard_plan is not None and config.engine != "sharded":
-            # a custom ShardPlan forces the sharded tier; its own shard
-            # count rules (mirrors the pre-planner behavior)
-            config = config.replace(
-                engine="sharded", shards=shard_plan.shards
-            )
-    else:
-        # explicit non-default kwargs refine the config they ride with
-        overrides = {}
-        if tol != DEFAULT_TOLERANCE and tol != config.tol:
-            overrides["tol"] = tol
-        if snapshot_every is not None:
-            overrides["snapshot_every"] = snapshot_every
-        if fsync != "always":
-            overrides["fsync"] = fsync
-        if private_cache:
-            overrides["private_cache"] = private_cache
-        if overrides:
-            config = config.replace(**overrides)
-    return config
 
 #: One parsed log operation: ``("delta", mask, amount)`` adds ``amount``
 #: rows with itemset ``mask``; ``("set", mask, value)`` pins the
@@ -198,16 +126,12 @@ class StreamSession:
     bar.  The backend is pinned at construction and never changes
     across a promotion.
 
-    The pre-planner kwargs (``backend=``, ``shards=``, ``workers=``,
-    ``durable=``) still work but are **deprecated**: they warn with
-    :class:`~repro.errors.EngineDeprecationWarning` and are translated
-    to a fully pinned config via
-    :meth:`~repro.engine.plan.EngineConfig.from_legacy` (``shards > 1``
-    forces the sharded tier, exactly the historic behavior).
-    ``shard_plan``/``executor`` pass a custom mask routing /  a shared
+    With no ``config`` the session runs :data:`DEFAULT_CONFIG`: the
+    incremental tier on the exact backend, never re-planned.
+    ``shard_plan``/``executor`` pass a custom mask routing / a shared
     executor through to the sharded tier.
 
-    ``durable`` (a data-directory path or a
+    ``config.durable`` (a data-directory path or a
     :class:`~repro.engine.persist.DurableStore`) makes the session
     crash-proof.  On an empty directory the seed density is recorded
     (its fingerprint pins the directory to this seed) and a tx-0
@@ -215,9 +139,10 @@ class StreamSession:
     *recovers* -- the provided ``density`` must then either be ``None``
     or match the recorded seed fingerprint, so reopening a grown
     instance from the same source database is checked, not assumed.
-    ``fsync`` is the WAL policy (``"always"``/``"never"``);
-    ``snapshot_every=N`` auto-snapshots (and compacts the log) every
-    ``N`` committed transactions.
+    ``config.fsync`` is the WAL policy (``"always"``/``"never"``);
+    ``config.snapshot_every=N`` auto-snapshots (and compacts the log)
+    every ``N`` committed transactions; ``retain`` is how many
+    snapshots the store keeps.
     """
 
     def __init__(
@@ -225,46 +150,18 @@ class StreamSession:
         ground,
         constraints: Iterable = (),
         density=None,
-        backend: Union[str, Backend] = _UNSET,
-        tol: float = DEFAULT_TOLERANCE,
         cache: Optional[ImplicationCache] = None,
-        private_cache: bool = False,
-        shards: int = _UNSET,
-        plan=None,
-        workers: Optional[int] = _UNSET,
+        shard_plan=None,
         executor=None,
-        durable=_UNSET,
-        snapshot_every: Optional[int] = None,
-        fsync: str = "always",
         retain: int = 2,
         config: Optional[EngineConfig] = None,
         planner: Optional[Planner] = None,
-        _depth: int = 0,
     ):
-        config = _resolve_session_config(
-            config,
-            backend=backend,
-            shards=shards,
-            workers=workers,
-            durable=durable,
-            shard_plan=plan,
-            where="StreamSession",
-            tol=tol,
-            snapshot_every=snapshot_every,
-            fsync=fsync,
-            private_cache=private_cache,
-            # +_depth hops the warning over wrapper frames (basket
-            # databases, constraint sets, FD checkers) so the
-            # deprecation is attributed to the end caller
-            stacklevel=4 + _depth,
-        )
+        if config is None:
+            config = DEFAULT_CONFIG
         self._config = config
         self._planner = planner if planner is not None else default_planner()
         constraints = tuple(constraints)
-        if config.snapshot_every is not None and config.snapshot_every < 1:
-            raise ValueError(
-                f"snapshot_every must be >= 1, got {config.snapshot_every}"
-            )
         self._snapshot_every = config.snapshot_every
         self._wedged = False
         self._deltas = 0
@@ -319,7 +216,7 @@ class StreamSession:
             constraints=constraints,
             cache=cache,
             executor=executor,
-            shard_plan=plan,
+            shard_plan=shard_plan,
         )
         self._tx = 0
         if self._store is not None:
@@ -331,10 +228,6 @@ class StreamSession:
     # ------------------------------------------------------------------
     # durability
     # ------------------------------------------------------------------
-    @staticmethod
-    def _backend_name(backend) -> str:
-        return backend if isinstance(backend, str) else backend.name
-
     def _check_reopen(self, ground, backend, tol, density, recovered):
         """Validate a reopen against the directory's identity record and
         return the density to seed the context with (the snapshot's)."""
@@ -349,11 +242,10 @@ class StreamSession:
                 f"{self._store.path}: recorded |S|={meta['n']} != "
                 f"ground set size {ground.size}"
             )
-        if meta["backend"] != self._backend_name(backend):
+        if meta["backend"] != backend:
             raise PersistenceError(
                 f"{self._store.path}: recorded backend "
-                f"{meta['backend']!r} != requested "
-                f"{self._backend_name(backend)!r}"
+                f"{meta['backend']!r} != requested {backend!r}"
             )
         if meta["tol"] != tol:
             raise PersistenceError(
@@ -444,7 +336,8 @@ class StreamSession:
         """Persist the live state and compact the write-ahead log."""
         if self._store is None:
             raise PersistenceError(
-                "this session is not durable (pass durable=<data dir>)"
+                "this session is not durable (pass "
+                "config=EngineConfig(durable=<data dir>))"
             )
         self._check_not_wedged()
         self._store.snapshot(snapshot_state(self._context, self._tx))

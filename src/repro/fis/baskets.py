@@ -21,10 +21,19 @@ import numpy as np
 from repro.core import subsets as sb
 from repro.core.ground import GroundSet
 from repro.core.setfunction import SetFunction, SparseDensityFunction
+from repro.engine.plan import (
+    EngineConfig,
+    Workload,
+    build_context,
+    default_planner,
+)
 
 __all__ = ["BasketDatabase"]
 
-_UNSET = object()
+#: The engine policy of :meth:`BasketDatabase.sharded_context` without
+#: ``config=``: the sharded tier on the exact backend, shard and worker
+#: counts left to the planner.
+SHARDED_DEFAULT_CONFIG = EngineConfig(engine="sharded", backend="exact")
 
 
 class BasketDatabase:
@@ -169,16 +178,16 @@ class BasketDatabase:
 
         ``config`` is the :class:`repro.engine.EngineConfig` the planner
         resolves the session from (with ``engine="auto"`` the session
-        re-plans and promotes tiers online as the instance grows); the
-        pre-planner ``backend=``/``shards=``/``workers=``/``durable=``
-        kwargs still pass through, shimmed with a deprecation warning.
-        ``config.durable`` (or the deprecated ``durable=<data dir>``)
-        makes the session crash-proof and *reopenable*: the first open
-        records this database's counts as the seed (fingerprinted),
-        later opens on the same directory verify the seed still matches
-        and then recover the streamed state on top of it -- so a grown
-        instance survives restarts while staying pinned to its source
-        database.
+        re-plans and promotes tiers online as the instance grows); with
+        no ``config`` the session runs the incremental tier on the exact
+        backend (:data:`repro.engine.stream.DEFAULT_CONFIG`).  Remaining
+        keyword arguments pass through to the session.
+        ``config.durable`` makes the session crash-proof and
+        *reopenable*: the first open records this database's counts as
+        the seed (fingerprinted), later opens on the same directory
+        verify the seed still matches and then recover the streamed
+        state on top of it -- so a grown instance survives restarts
+        while staying pinned to its source database.
         """
         from repro.engine.stream import StreamSession
 
@@ -187,19 +196,10 @@ class BasketDatabase:
             constraints=constraints,
             density=self.multiset_counts(),
             config=config,
-            _depth=1,
             **kwargs,
         )
 
-    def sharded_context(
-        self,
-        constraints: Iterable = (),
-        config=None,
-        shards=_UNSET,
-        workers=_UNSET,
-        backend=_UNSET,
-        **kwargs,
-    ):
+    def sharded_context(self, constraints: Iterable = (), config=None, **kwargs):
         """A :class:`repro.engine.ShardedEvalContext` over this database.
 
         The baskets are partitioned by itemset mask across the plan's
@@ -211,51 +211,16 @@ class BasketDatabase:
         plan with ``workers > 1`` attaches a process pool for fanned-out
         evaluation.  ``config`` pins the knobs
         (:class:`repro.engine.EngineConfig`; ``engine`` is forced to
-        ``"sharded"`` here); the pre-planner ``shards=``/``workers=``/
-        ``backend=`` kwargs are deprecated shims.
+        ``"sharded"`` here); with no ``config`` it is
+        :data:`SHARDED_DEFAULT_CONFIG` (sharded tier, exact backend,
+        planner-chosen shards and workers).  Remaining keyword arguments
+        (``cache``, ``executor``, ``shard_plan``) pass through to
+        :func:`repro.engine.plan.build_context`.
         """
-        from repro.engine.plan import (
-            EngineConfig,
-            Workload,
-            build_context,
-            default_planner,
-            warn_deprecated_kwargs,
-        )
-
-        legacy = {
-            name: value
-            for name, value in (
-                ("backend", backend),
-                ("shards", shards),
-                ("workers", workers),
-            )
-            if value is not _UNSET
-        }
-        if legacy:
-            if config is not None:
-                raise ValueError(
-                    "sharded_context: pass config=EngineConfig(...) or "
-                    f"the deprecated {', '.join(sorted(legacy))} kwargs, "
-                    "not both"
-                )
-            warn_deprecated_kwargs(
-                sorted(legacy), "BasketDatabase.sharded_context"
-            )
-            config = EngineConfig(
-                engine="sharded",
-                backend=legacy.get("backend", "exact"),
-                shards=legacy.get("shards"),
-                workers=legacy.get("workers"),
-            )
-        elif config is None:
-            config = EngineConfig(engine="sharded", backend="exact")
+        if config is None:
+            config = SHARDED_DEFAULT_CONFIG
         elif config.engine != "sharded":
             config = config.replace(engine="sharded")
-        if "plan" in kwargs:  # pre-planner name for a custom ShardPlan
-            kwargs["shard_plan"] = kwargs.pop("plan")
-        for field in ("tol", "private_cache"):
-            if field in kwargs:
-                config = config.replace(**{field: kwargs.pop(field)})
         constraints = tuple(constraints)
         counts = self.multiset_counts()
         plan = default_planner().plan(

@@ -147,12 +147,12 @@ class StreamingFDChecker:
     Engine policy (tier, backend, shards, workers) comes in as one
     :class:`repro.engine.EngineConfig` (``config=``), resolved by the
     planner and built through the single
-    :func:`repro.engine.plan.build_context` factory; the pre-planner
-    ``backend=``/``shards=``/``workers=``/``durable=`` kwargs remain as
-    deprecated shims.
+    :func:`repro.engine.plan.build_context` factory; with no ``config``
+    the checker runs the incremental tier on the exact backend
+    (:data:`repro.engine.stream.DEFAULT_CONFIG`).  Remaining keyword
+    arguments pass through to the session.
 
-    ``config.durable`` (or the deprecated ``durable=<data dir>``)
-    makes the checker crash-proof: the durable
+    ``config.durable`` makes the checker crash-proof: the durable
     state is the *rows* (the agreement density is derived), so every
     insert/delete is appended to a CRC-framed write-ahead log as a JSON
     row op before it is applied, and snapshots persist the full row
@@ -160,66 +160,29 @@ class StreamingFDChecker:
     and re-derives the pairwise density through a fresh session (an
     ``O(rows^2)`` rebuild, asserted against the snapshot's violation
     counters).  Durable rows must be JSON-round-trippable tuples.
+    ``config.fsync`` and ``config.snapshot_every`` apply to the
+    checker's row store; ``retain`` is how many snapshots it keeps.
     """
-
-    _UNSET = object()
 
     def __init__(
         self,
         ground: GroundSet,
         fds: Iterable[FunctionalDependency] = (),
         config=None,
-        backend=_UNSET,
-        shards=_UNSET,
-        workers=_UNSET,
-        durable=_UNSET,
-        snapshot_every=None,
-        fsync: str = "always",
         retain: int = 2,
         **session_kwargs,
     ):
         from repro.engine.persist import DurableStore
-        from repro.engine.plan import EngineConfig, warn_deprecated_kwargs
-        from repro.engine.stream import StreamSession
+        from repro.engine.stream import DEFAULT_CONFIG, StreamSession
 
-        unset = type(self)._UNSET
-        legacy = {
-            name: value
-            for name, value in (
-                ("backend", backend),
-                ("shards", shards),
-                ("workers", workers),
-                ("durable", durable),
-            )
-            if value is not unset
-        }
-        if legacy:
-            if config is not None:
-                raise ValueError(
-                    "StreamingFDChecker: pass config=EngineConfig(...) "
-                    f"or the deprecated {', '.join(sorted(legacy))} "
-                    "kwargs, not both"
-                )
-            warn_deprecated_kwargs(sorted(legacy), "StreamingFDChecker")
-            durable = legacy.pop("durable", None)
-            config = EngineConfig.from_legacy(**legacy)
-        else:
-            durable = config.durable if config is not None else None
-            if config is None:
-                config = EngineConfig(engine="incremental", backend="exact")
-            if config.durable is not None:
-                # the checker's durable state is the *rows* (the
-                # agreement density is derived): the store is ours, the
-                # engine session underneath stays in-memory
-                config = config.replace(durable=None)
-        if snapshot_every is None and config.snapshot_every is not None:
-            snapshot_every = config.snapshot_every
-        if fsync == "always":
-            fsync = config.fsync
-        if snapshot_every is not None and snapshot_every < 1:
-            raise ValueError(
-                f"snapshot_every must be >= 1, got {snapshot_every}"
-            )
+        if config is None:
+            config = DEFAULT_CONFIG
+        durable = config.durable
+        if durable is not None:
+            # the checker's durable state is the *rows* (the agreement
+            # density is derived): the store is ours, the engine session
+            # underneath stays in-memory
+            config = config.replace(durable=None)
         self._ground = ground
         self._fds: List[FunctionalDependency] = list(fds)
         self._by_constraint = {
@@ -232,19 +195,18 @@ class StreamingFDChecker:
             ground,
             constraints=tuple(self._by_constraint),
             config=config,
-            _depth=1,
             **session_kwargs,
         )
         self._rows: Counter = Counter()
         self._row_tx = 0
-        self._snapshot_every = snapshot_every
+        self._snapshot_every = config.snapshot_every
         self._wedged = False
         self._store = None
         if durable is not None:
             self._store = (
                 durable
                 if isinstance(durable, DurableStore)
-                else DurableStore(durable, fsync=fsync, retain=retain)
+                else DurableStore(durable, fsync=config.fsync, retain=retain)
             )
             if self._store.is_empty():
                 self._store.write_meta(
@@ -364,7 +326,8 @@ class StreamingFDChecker:
 
         if self._store is None:
             raise PersistenceError(
-                "this checker is not durable (pass durable=<data dir>)"
+                "this checker is not durable (pass "
+                "config=EngineConfig(durable=<data dir>))"
             )
         self._check_not_wedged()
         payload = {

@@ -199,8 +199,13 @@ class TestFailurePaths:
         blocker = tmp_path / "blocker"
         blocker.write_text("a file where a directory must go")
         path = str(blocker / "sub" / "p.json")
-        with pytest.warns(CalibrationWarning, match="persist"):
+        with pytest.warns(CalibrationWarning) as caught:
             profile = ensure_profile(path=path, **FAST)
+        # the load fails (a file blocks the directory), then the save
+        messages = [str(w.message) for w in caught]
+        assert len(messages) == 2
+        assert "unreadable" in messages[0] and "remeasuring" in messages[0]
+        assert "persist" in messages[1]
         # the in-memory measurement still drives this process's planner
         assert profile.cpus == effective_cpus()
         assert "VEC_MIN_N" in profile.thresholds()

@@ -15,6 +15,7 @@ import pytest
 
 from repro.core import ConstraintSet, GroundSet
 from repro.engine import (
+    EngineConfig,
     ReproClient,
     ReproService,
     ServiceError,
@@ -57,8 +58,6 @@ class TestWireProtocol:
         assert stats["engine"]["promotions"] == 0
 
     def test_boot_from_one_engine_config(self, cset):
-        from repro.engine import EngineConfig
-
         handle = ReproService(
             cset,
             config=EngineConfig(engine="incremental", backend="float"),
@@ -193,7 +192,10 @@ class TestDurableService:
         def boot():
             session = StreamSession(
                 cset.ground, constraints=cset.constraints,
-                durable=data, snapshot_every=3,
+                config=EngineConfig(
+                    engine="incremental", backend="exact",
+                    durable=data, snapshot_every=3,
+                ),
             )
             return ReproService(cset, session=session).start_in_thread()
 
@@ -226,7 +228,10 @@ class TestDurableService:
     def test_graceful_stop_snapshots_unsnapshotted_tail(self, cset, tmp_path):
         data = str(tmp_path / "svc")
         session = StreamSession(
-            cset.ground, constraints=cset.constraints, durable=data
+            cset.ground, constraints=cset.constraints,
+            config=EngineConfig(
+                engine="incremental", backend="exact", durable=data
+            ),
         )
         handle = ReproService(cset, session=session).start_in_thread()
         handle.client().delta(["+ ABCD 2"])
@@ -288,7 +293,10 @@ class TestStartupAndProtocolEdges:
 
         data = str(tmp_path / "svc")
         session = StreamSession(
-            cset.ground, constraints=cset.constraints, durable=data
+            cset.ground, constraints=cset.constraints,
+            config=EngineConfig(
+                engine="incremental", backend="exact", durable=data
+            ),
         )
         handle = ReproService(cset, session=session).start_in_thread()
         client = handle.client()

@@ -21,7 +21,7 @@ import struct
 import pytest
 
 from repro.core import ConstraintSet, GroundSet
-from repro.engine import StreamSession
+from repro.engine import EngineConfig, StreamSession
 from repro.engine.persist import (
     DurableStore,
     SnapshotStore,
@@ -38,6 +38,10 @@ from repro.errors import (
     PersistenceError,
     WalGapError,
 )
+
+
+#: The tier and backend every session here is pinned to.
+EXACT = EngineConfig(engine="incremental", backend="exact")
 
 
 @pytest.fixture
@@ -222,12 +226,13 @@ class TestTransactionCodec:
         assert a != density_fingerprint([(1, 2), (3, 5)])
 
 
-def make_session(ground, cset, tmp_path, **kwargs) -> StreamSession:
+def make_session(ground, cset, tmp_path, **fields) -> StreamSession:
+    """A session durable at ``tmp_path/data`` on :data:`EXACT`, with
+    ``fields`` replaced."""
     return StreamSession(
         ground,
         constraints=cset.constraints,
-        durable=str(tmp_path / "data"),
-        **kwargs,
+        config=EXACT.replace(durable=str(tmp_path / "data"), **fields),
     )
 
 
@@ -275,14 +280,14 @@ class TestDurableSession:
         s2.close()
 
     def test_sharded_reopen_matches(self, ground, cset, tmp_path):
-        s = make_session(ground, cset, tmp_path, shards=3)
+        s = make_session(ground, cset, tmp_path, engine="sharded", shards=3)
         for text in ("AB", "ABC", "CD", "D"):
             s.insert(text)
         expected = state_of(s)
         sizes = s.context.shard_sizes()
         s.snapshot()
         s.close()
-        s2 = make_session(ground, cset, tmp_path, shards=3)
+        s2 = make_session(ground, cset, tmp_path, engine="sharded", shards=3)
         assert state_of(s2) == expected
         assert s2.context.shard_sizes() == sizes
         s2.close()
@@ -314,33 +319,38 @@ class TestDurableSession:
             make_session(ground, cset, tmp_path, backend="float")
         with pytest.raises(PersistenceError, match=r"\|S\|"):
             StreamSession(
-                GroundSet("ABC"), durable=str(tmp_path / "data")
+                GroundSet("ABC"),
+                config=EXACT.replace(durable=str(tmp_path / "data")),
             )
 
     def test_mismatched_seed_is_loud(self, ground, cset, tmp_path):
         s = StreamSession(
             ground, density={ground.parse("AB"): 2},
-            durable=str(tmp_path / "data"),
+            config=EXACT.replace(durable=str(tmp_path / "data")),
         )
         s.close()
         # same seed: fine (the BasketDatabase reopen path)
         StreamSession(
             ground, density={ground.parse("AB"): 2},
-            durable=str(tmp_path / "data"),
+            config=EXACT.replace(durable=str(tmp_path / "data")),
         ).close()
         # no seed: fine (recover whatever is there)
-        StreamSession(ground, durable=str(tmp_path / "data")).close()
+        StreamSession(
+            ground, config=EXACT.replace(durable=str(tmp_path / "data"))
+        ).close()
         with pytest.raises(PersistenceError, match="different instance"):
             StreamSession(
                 ground, density={ground.parse("AB"): 3},
-                durable=str(tmp_path / "data"),
+                config=EXACT.replace(durable=str(tmp_path / "data")),
             )
 
     def test_wrong_kind_of_data_dir_is_loud(self, ground, tmp_path):
         store = DurableStore(str(tmp_path / "data"))
         store.write_meta({"format": 1, "kind": "fd-checker", "n": 4})
         with pytest.raises(PersistenceError, match="fd-checker"):
-            StreamSession(ground, durable=str(tmp_path / "data"))
+            StreamSession(
+                ground, config=EXACT.replace(durable=str(tmp_path / "data"))
+            )
 
     def test_snapshot_on_memory_session_is_loud(self, ground):
         with pytest.raises(PersistenceError, match="not durable"):
@@ -494,14 +504,14 @@ class TestWriteAheadOrdering:
         s = StreamSession(
             ground,
             density={1: Fraction(1, 2)},
-            durable=str(tmp_path / "data"),
+            config=EXACT.replace(durable=str(tmp_path / "data")),
         )
         s.apply([(3, Fraction(1, 3))])
         expected = list(s.context.density_items())
         s.close()
         s2 = StreamSession(
             ground, density={1: Fraction(1, 2)},
-            durable=str(tmp_path / "data"),
+            config=EXACT.replace(durable=str(tmp_path / "data")),
         )
         assert list(s2.context.density_items()) == expected
         s2.close()
@@ -552,18 +562,19 @@ class TestWriteAheadOrdering:
         matching seed re-seeds (and heals), no seed fails loudly."""
         seed = {ground.parse("AB"): 5}
         data = str(tmp_path / "data")
-        s = StreamSession(ground, density=seed, durable=data)
+        durable = EXACT.replace(durable=data)
+        s = StreamSession(ground, density=seed, config=durable)
         s.close()
         for entry in os.listdir(data):
             if entry.startswith("snapshot-"):
                 os.unlink(os.path.join(data, entry))
         with pytest.raises(PersistenceError, match="seed snapshot is missing"):
-            StreamSession(ground, durable=data)
-        s2 = StreamSession(ground, density=seed, durable=data)
+            StreamSession(ground, config=durable)
+        s2 = StreamSession(ground, density=seed, config=durable)
         assert s2.support("AB") == 5  # not silently empty
         s2.close()
         # the reopen healed the missing snapshot: a bare open now works
-        s3 = StreamSession(ground, durable=data)
+        s3 = StreamSession(ground, config=durable)
         assert s3.support("AB") == 5
         s3.close()
 

@@ -1,11 +1,9 @@
-"""The engine planner: tier boundaries, the config surface, the factory,
-and the deprecation shims.
+"""The engine planner: tier boundaries, the config surface and the
+factory.
 
 Every cost-model threshold is crossed from both sides, degenerate hosts
-(1 CPU) and ground sets (``|S| in {0, 1}``) are pinned, and the
-deprecated ``backend=``/``shards=``/``workers=``/``durable=`` kwargs are
-verified to keep working while warning with
-:class:`EngineDeprecationWarning`.
+(1 CPU) and ground sets (``|S| in {0, 1}``) are pinned, and so is what
+each entry point resolves to when it is built without ``config=``.
 """
 
 from __future__ import annotations
@@ -19,6 +17,7 @@ from repro.engine import (
     EvalContext,
     IncrementalEvalContext,
     Planner,
+    ReproService,
     ShardedEvalContext,
     StreamSession,
     Workload,
@@ -27,10 +26,9 @@ from repro.engine import (
     plan_of_context,
 )
 from repro.engine.plan import DENSE_LIMIT, LIVE_TIERS, TIERS
-from repro.errors import EngineDeprecationWarning, NotApplicableError, PlanError
+from repro.errors import NotApplicableError, PlanError
 from repro.fis import BasketDatabase
 from repro.relational import StreamingFDChecker
-from repro.relational.fd import FunctionalDependency
 
 
 def plan_for(planner=None, config=None, **workload):
@@ -61,6 +59,26 @@ class TestCostModelBoundaries:
     def test_streaming_is_incremental(self):
         plan = plan_for(n=8, constraints=2, streaming=True)
         assert plan.tier == "incremental"
+        # live entry points built without config= pin their own default
+        ground = GroundSet("ABC")
+        cset = ConstraintSet.of(ground, "A -> B")
+        db = BasketDatabase.of(ground, "AB", "C")
+        unconfigured = [
+            StreamSession(ground),
+            cset.stream_session(),
+            db.stream_session(),
+            StreamingFDChecker(ground, []).session,
+            ReproService(cset).session,
+        ]
+        for session in unconfigured:
+            assert session.config == EngineConfig(
+                engine="incremental", backend="exact"
+            )
+            assert session.plan.stamp() == (
+                "tier=incremental, backend=exact, shards=1, workers=1"
+            )
+        sharded = plan_of_context(db.sharded_context())
+        assert (sharded.tier, sharded.backend) == ("sharded", "exact")
 
     def test_streaming_degenerate_ground_sets_stay_incremental(self):
         # a live session needs live tables even over |S| <= 1
@@ -236,13 +254,6 @@ class TestForcedTiersAndValidation:
         with pytest.raises(PlanError):
             Planner(NO_SUCH_THRESHOLD=1)
 
-    def test_from_legacy_reproduces_historic_tiers(self):
-        assert EngineConfig.from_legacy().engine == "incremental"
-        assert EngineConfig.from_legacy(shards=1).engine == "incremental"
-        assert EngineConfig.from_legacy(shards=3).engine == "sharded"
-        assert EngineConfig.from_legacy().backend == "exact"
-        assert EngineConfig.from_legacy(backend="float").backend == "float"
-
 
 class TestBuildContext:
     def test_factory_returns_the_plan_tier(self):
@@ -307,54 +318,6 @@ class TestDecideMethod:
         target = cset.constraints[0]
         with pytest.raises(NotApplicableError, match="method='sat'"):
             find_uncovered_engine(cset, target)
-
-
-class TestDeprecationShims:
-    def test_stream_session_legacy_kwargs_warn_and_work(self):
-        ground = GroundSet("ABC")
-        with pytest.warns(EngineDeprecationWarning, match="backend"):
-            session = StreamSession(ground, backend="float", shards=2)
-        assert session.plan.tier == "sharded"
-        assert session.plan.backend == "float"
-        session.insert("AB")
-        assert session.support("A") == 1
-
-    def test_config_and_legacy_kwargs_are_mutually_exclusive(self):
-        ground = GroundSet("AB")
-        with pytest.raises(ValueError, match="not both"):
-            StreamSession(
-                ground, backend="exact", config=EngineConfig()
-            )
-
-    def test_basket_database_shims(self):
-        ground = GroundSet("ABC")
-        db = BasketDatabase.of(ground, "AB", "C")
-        with pytest.warns(EngineDeprecationWarning):
-            ctx = db.sharded_context(shards=2)
-        assert ctx.shards == 2
-        with pytest.warns(EngineDeprecationWarning):
-            session = db.stream_session(backend="exact")
-        assert session.support("AB") == 1
-
-    def test_fd_checker_shims(self):
-        schema = GroundSet("AB")
-        fd = FunctionalDependency.of(schema, "A", "B")
-        with pytest.warns(EngineDeprecationWarning, match="shards"):
-            checker = StreamingFDChecker(schema, [fd], shards=2)
-        checker.insert((0, 0))
-        report = checker.insert((0, 1))
-        assert report.newly_violated
-        assert checker.session.plan.tier == "sharded"
-
-    def test_default_construction_does_not_warn(self):
-        import warnings
-
-        ground = GroundSet("AB")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", EngineDeprecationWarning)
-            StreamSession(ground)
-            BasketDatabase.of(ground, "A").stream_session()
-            StreamingFDChecker(ground, [])
 
 
 class TestDurableReopen:

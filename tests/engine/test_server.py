@@ -11,7 +11,12 @@ import asyncio
 import pytest
 
 from repro.core import ConstraintSet, DifferentialConstraint, GroundSet, decide
-from repro.engine import ConstraintServer, ShardedEvalContext, serve_queries
+from repro.engine import (
+    ConstraintServer,
+    EngineConfig,
+    ShardedEvalContext,
+    serve_queries,
+)
 
 
 @pytest.fixture
@@ -86,7 +91,8 @@ class TestConstraintServer:
 
     def test_lru_bound_evicts(self, ground, cset):
         async def scenario():
-            async with ConstraintServer(cset, cache_size=1) as server:
+            config = EngineConfig(cache_size=1)
+            async with ConstraintServer(cset, config=config) as server:
                 a = target(ground, "A -> C")
                 b = target(ground, "C -> A")
                 await server.implies(a)

@@ -13,6 +13,7 @@ import pytest
 
 from repro.core import ConstraintSet, GroundSet
 from repro.engine import (
+    EngineConfig,
     EvalRequest,
     IncrementalEvalContext,
     ParallelExecutor,
@@ -383,7 +384,9 @@ class TestParallelExecutor:
 class TestStreamSessionSharding:
     def test_sharded_session_matches_plain(self, ground, cset):
         plain = cset.stream_session()
-        sharded = cset.stream_session(shards=3)
+        sharded = cset.stream_session(
+            config=EngineConfig(engine="sharded", backend="exact", shards=3)
+        )
         for session in (plain, sharded):
             session.insert("AC", 2)
             session.delete("AC")
@@ -399,7 +402,9 @@ class TestStreamSessionSharding:
 
         S = GroundSet("ABC")
         db = BasketDatabase.of(S, "AB", "AB", "ABC", "C")
-        ctx = db.sharded_context(shards=2)
+        ctx = db.sharded_context(
+            config=EngineConfig(engine="sharded", backend="exact", shards=2)
+        )
         assert sum(ctx.shard_sizes()) == 3
         assert ctx.value(S.parse("AB")) == db.support(S.parse("AB"))
         # discovery consumes the sharded context directly
@@ -413,7 +418,11 @@ class TestStreamSessionSharding:
         S = GroundSet("ABC")
         fds = [FunctionalDependency.of(S, "A", "B")]
         plain = StreamingFDChecker(S, fds)
-        sharded = StreamingFDChecker(S, fds, shards=2)
+        sharded = StreamingFDChecker(
+            S,
+            fds,
+            config=EngineConfig(engine="sharded", backend="exact", shards=2),
+        )
         rows = [(1, 1, 0), (1, 2, 0), (2, 1, 1)]
         for row in rows:
             plain.insert(row)

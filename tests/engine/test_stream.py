@@ -19,6 +19,7 @@ from repro.core import (
     differential_function_by_definition,
 )
 from repro.engine import (
+    EngineConfig,
     IncrementalEvalContext,
     StreamSession,
     parse_transaction_log,
@@ -233,7 +234,11 @@ class TestStreamSession:
         (i.e. a fresh satisfied-set fingerprint appears) on status
         flips, not on benign deltas."""
         cset = ConstraintSet.of(ground_abc, "A -> B", "B -> C")
-        session = cset.stream_session(private_cache=True)
+        session = cset.stream_session(
+            config=EngineConfig(
+                engine="incremental", backend="exact", private_cache=True
+            )
+        )
         session.insert("AB")  # violates B -> C, leaves A -> B satisfied
         ctx = session.context
         target = DifferentialConstraint.parse(ground_abc, "A -> B, C")
@@ -342,7 +347,11 @@ class TestDegenerateAudit:
         ground = self.EMPTY
         # the only nontrivial constraint: (/) -> {} with empty family
         c = DifferentialConstraint(ground, 0, SetFamily(ground))
-        session = StreamSession(ground, [c], backend=backend)
+        session = StreamSession(
+            ground,
+            [c],
+            config=EngineConfig(engine="incremental", backend=backend),
+        )
         report = session.apply([(0, 1)])
         assert report.newly_violated == (c,)
         f = SetFunction.from_density(ground, {0: 1}, exact=backend == "exact")

@@ -31,7 +31,12 @@ from repro.core import (
     differential_function,
     differential_function_by_definition,
 )
-from repro.engine import IncrementalEvalContext, StreamSession, recompute_tables
+from repro.engine import (
+    EngineConfig,
+    IncrementalEvalContext,
+    StreamSession,
+    recompute_tables,
+)
 from repro.engine.backends import backend_by_name
 
 GROUNDS = [GroundSet("ABCDE"[:n]) for n in range(6)]  # |S| = 0..5
@@ -136,7 +141,11 @@ def test_stream_reports_are_consistent(backend_name, data):
     satisfied-set snapshot reproduces the final violated set, and every
     reported flip is a real status change."""
     ground, constraints, deltas = data
-    session = StreamSession(ground, constraints, backend=backend_name)
+    session = StreamSession(
+        ground,
+        constraints,
+        config=EngineConfig(engine="incremental", backend=backend_name),
+    )
     violated = set()
     for mask, delta in deltas:
         before = set(session.violated_constraints())

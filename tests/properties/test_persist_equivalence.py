@@ -24,7 +24,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from repro.core import ConstraintSet, GroundSet
-from repro.engine import DurableStore, StreamSession
+from repro.engine import DurableStore, EngineConfig, StreamSession
 from repro.engine.persist import _HEADER
 
 BACKENDS = ["exact", "float"]
@@ -37,6 +37,17 @@ THEORY = ("A -> B", "B -> A", "AB -> A, B")
 
 def make_theory(ground: GroundSet) -> ConstraintSet:
     return ConstraintSet.of(ground, *THEORY)
+
+
+def pinned(backend: str, shards: int = 1, **fields) -> EngineConfig:
+    """A config pinning ``backend`` and ``shards`` (more than one shard
+    selects the sharded tier, else the incremental one)."""
+    return EngineConfig(
+        engine="sharded" if shards > 1 else "incremental",
+        backend=backend,
+        shards=shards,
+        **fields,
+    )
 
 
 @st.composite
@@ -102,11 +113,13 @@ class TestCrashRecoveryEquivalence:
             live = StreamSession(
                 ground,
                 constraints=cset.constraints,
-                backend=backend,
-                shards=shards,
-                durable=data_dir,
-                snapshot_every=snapshot_every,
-                fsync="never",
+                config=pinned(
+                    backend,
+                    shards,
+                    durable=data_dir,
+                    snapshot_every=snapshot_every,
+                    fsync="never",
+                ),
             )
             for deltas in transactions:
                 live.apply(deltas)
@@ -136,12 +149,10 @@ class TestCrashRecoveryEquivalence:
             recovered = StreamSession(
                 ground,
                 constraints=cset.constraints,
-                backend=backend,
-                shards=shards,
-                durable=data_dir,
+                config=pinned(backend, shards, durable=data_dir),
             )
             oracle = StreamSession(
-                ground, constraints=cset.constraints, backend=backend
+                ground, constraints=cset.constraints, config=pinned(backend)
             )
             for deltas in transactions[:crash_tx]:
                 oracle.apply(deltas)
@@ -173,9 +184,7 @@ class TestCrashRecoveryEquivalence:
             first = StreamSession(
                 ground,
                 constraints=cset.constraints,
-                backend=backend,
-                durable=data_dir,
-                fsync="never",
+                config=pinned(backend, durable=data_dir, fsync="never"),
             )
             for deltas in transactions[:cut]:
                 first.apply(deltas)
@@ -183,13 +192,12 @@ class TestCrashRecoveryEquivalence:
             resumed = StreamSession(
                 ground,
                 constraints=cset.constraints,
-                backend=backend,
-                durable=data_dir,
+                config=pinned(backend, durable=data_dir),
             )
             for deltas in transactions[cut:]:
                 resumed.apply(deltas)
             oracle = StreamSession(
-                ground, constraints=cset.constraints, backend=backend
+                ground, constraints=cset.constraints, config=pinned(backend)
             )
             for deltas in transactions:
                 oracle.apply(deltas)

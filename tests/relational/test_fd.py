@@ -151,12 +151,17 @@ class TestDurableChecker:
             FunctionalDependency.parse(ground_abc, "B -> C"),
         ]
 
-    def _checker(self, ground, fds, tmp_path, **kwargs):
+    def _checker(self, ground, fds, tmp_path, **fields):
+        from repro.engine import EngineConfig
         from repro.relational import StreamingFDChecker
 
-        return StreamingFDChecker(
-            ground, fds, durable=str(tmp_path / "fd"), **kwargs
+        config = EngineConfig(
+            engine="incremental",
+            backend="exact",
+            durable=str(tmp_path / "fd"),
+            **fields,
         )
+        return StreamingFDChecker(ground, fds, config=config)
 
     def test_reopen_recovers_rows_and_density(self, ground_abc, fds, tmp_path):
         ck = self._checker(ground_abc, fds, tmp_path, snapshot_every=3)
@@ -197,10 +202,13 @@ class TestDurableChecker:
         ck2.close()
 
     def test_wrong_kind_of_dir_is_loud(self, ground_abc, fds, tmp_path):
-        from repro.engine import StreamSession
+        from repro.engine import EngineConfig, StreamSession
         from repro.errors import CorruptSnapshotError
 
-        StreamSession(ground_abc, durable=str(tmp_path / "fd")).close()
+        config = EngineConfig(
+            engine="incremental", backend="exact", durable=str(tmp_path / "fd")
+        )
+        StreamSession(ground_abc, config=config).close()
         with pytest.raises(CorruptSnapshotError, match="stream-session"):
             self._checker(ground_abc, fds, tmp_path)
 

@@ -129,18 +129,18 @@ class TestPlan:
         # the implication brain is the same planner
         assert "implies method=" in text
 
-    def test_pinned_engine_flag(self, constraint_file):
+    def test_pinned_engine_flag(self, constraint_file, capsys):
         code, text = _run(["plan", constraint_file, "--engine", "sharded"])
         assert code == 0
         assert "tier=sharded" in text
-
-    def test_deprecated_aliases_still_pin(self, constraint_file, capsys):
-        code, text = _run(["plan", constraint_file, "--backend", "float"])
+        # --backend/--shards/--workers pin their knobs, silently
+        code, text = _run(
+            ["plan", constraint_file, "--backend", "float",
+             "--shards", "2", "--workers", "1"]
+        )
         assert code == 0
-        assert "backend=float" in text
-        # the deprecation notice goes to stderr, not the report
-        assert "deprecated" not in text
-        assert "deprecated" in capsys.readouterr().err
+        assert "tier=sharded, backend=float, shards=2, workers=1" in text
+        assert capsys.readouterr().err == ""
 
     def test_unsatisfiable_pinning_is_loud(self, constraint_file):
         code, text = _run(
