@@ -706,12 +706,18 @@ def build_context(
     :class:`~repro.engine.incremental.IncrementalEvalContext` or
     :class:`~repro.engine.shard.ShardedEvalContext` seeded with
     ``density``/``constraints``.  ``shard_plan`` passes a custom
-    :class:`~repro.engine.shard.ShardPlan` (mask routing) through;
+    :class:`~repro.engine.shard.ShardPlan` (mask routing) through and
+    is refused by any tier but ``sharded``;
     ``executor`` a shared :class:`~repro.engine.parallel.ParallelExecutor`.
     """
     config = plan.config
     if plan.tier not in TIERS:
         raise PlanError(f"unknown plan tier {plan.tier!r}")
+    if shard_plan is not None and plan.tier != "sharded":
+        raise PlanError(
+            f"a shard_plan needs the sharded tier, but the plan resolved "
+            f"{plan.tier!r}; pass config=EngineConfig(engine='sharded')"
+        )
     if plan.tier not in LIVE_TIERS:
         if density or tuple(constraints):
             raise PlanError(

@@ -129,7 +129,9 @@ class StreamSession:
     With no ``config`` the session runs :data:`DEFAULT_CONFIG`: the
     incremental tier on the exact backend, never re-planned.
     ``shard_plan``/``executor`` pass a custom mask routing / a shared
-    executor through to the sharded tier.
+    executor through to the sharded tier; a ``shard_plan`` on any other
+    tier raises :class:`~repro.errors.PlanError` (it never selects the
+    tier itself: pass ``config=EngineConfig(engine="sharded")``).
 
     ``config.durable`` (a data-directory path or a
     :class:`~repro.engine.persist.DurableStore`) makes the session

@@ -19,10 +19,12 @@ from repro.engine import (
     ParallelExecutor,
     ShardPlan,
     ShardedEvalContext,
+    StreamSession,
     default_workers,
     sum_tables,
 )
 from repro.engine.backends import EXACT, FLOAT
+from repro.errors import PlanError
 
 
 @pytest.fixture
@@ -395,6 +397,21 @@ class TestStreamSessionSharding:
         assert plain.support("A") == sharded.support("A")
         assert isinstance(sharded.context, ShardedEvalContext)
         assert not isinstance(plain.context, ShardedEvalContext)
+
+    def test_shard_plan_needs_a_sharded_config(self, ground, cset):
+        routing = ShardPlan(2, route=lambda mask: 0)
+        session = cset.stream_session(
+            config=EngineConfig(engine="sharded", backend="exact", shards=2),
+            shard_plan=routing,
+        )
+        session.insert("AC")
+        session.insert("ABD")
+        assert session.context.shard_sizes() == (2, 0)
+        # a shard_plan never picks the tier: without a sharded config
+        # it is refused instead of silently dropped
+        for config in (None, EngineConfig(engine="incremental")):
+            with pytest.raises(PlanError, match="shard_plan"):
+                StreamSession(ground, config=config, shard_plan=routing)
 
     def test_basket_database_sharded_context(self):
         from repro.fis import BasketDatabase
