@@ -762,7 +762,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-delay",
         type=float,
         default=2.0,
-        help="microbatch window in milliseconds (default 2)",
+        help="upper bound on how long a batch lingers for more arrivals, "
+        "in milliseconds (default 2)",
     )
     p.add_argument(
         "--port",

@@ -87,6 +87,15 @@ class _Lru:
         self.hits += 1
         return value
 
+    def peek(self, key: Hashable):
+        """Like :meth:`get`, but an absent key is not a miss: the caller
+        builds the value without keeping it."""
+        value = self._data.get(key)
+        if value is not None:
+            self._data.move_to_end(key)
+            self.hits += 1
+        return value
+
     def put(self, key: Hashable, value) -> None:
         if key in self._data:
             self._bytes -= getattr(self._data[key], "nbytes", 0)
@@ -122,9 +131,19 @@ class ImplicationCache:
         self._blocked_tables = _Lru(maxsize, max_bytes)
 
     # -- per-family ----------------------------------------------------
-    def blocked_table(self, ground, members: Tuple[int, ...]) -> np.ndarray:
-        """Memoized ``blocked_table`` for one witness family (by masks)."""
+    def blocked_table(
+        self, ground, members: Tuple[int, ...], memoize: bool = True
+    ) -> np.ndarray:
+        """Memoized ``blocked_table`` for one witness family (by masks).
+
+        With ``memoize=False`` a memoized table is still used, but a
+        missing one is built without being stored."""
         key = (ground, tuple(members))
+        if not memoize:
+            table = self._blocked_tables.peek(key)
+            if table is None:
+                table = batch.blocked_table(ground.size, members)
+            return table
         table = self._blocked_tables.get(key)
         if table is None:
             table = batch.blocked_table(ground.size, members)
@@ -133,17 +152,27 @@ class ImplicationCache:
         return table
 
     # -- per-constraint ------------------------------------------------
-    def lattice_table(self, constraint) -> np.ndarray:
-        """Memoized ``L(X, Y)`` indicator for one constraint."""
+    def lattice_table(self, constraint, memoize: bool = True) -> np.ndarray:
+        """Memoized ``L(X, Y)`` indicator for one constraint.
+
+        ``memoize=False`` is for one-shot constraints (implication
+        targets): a memoized table is used when present, otherwise the
+        table and its blocked table are built without being stored."""
         key = constraint_fingerprint(constraint)
-        table = self._constraint_tables.get(key)
+        if memoize:
+            table = self._constraint_tables.get(key)
+        else:
+            table = self._constraint_tables.peek(key)
         if table is None:
             ground = constraint.ground
-            blocked = self.blocked_table(ground, constraint.family.members)
+            blocked = self.blocked_table(
+                ground, constraint.family.members, memoize
+            )
             table = batch.superset_indicator(ground.size, constraint.lhs)
             table &= ~blocked
-            table.setflags(write=False)
-            self._constraint_tables.put(key, table)
+            if memoize:
+                table.setflags(write=False)
+                self._constraint_tables.put(key, table)
         return table
 
     # -- per-set: the atomic closure L(C) ------------------------------
@@ -210,9 +239,13 @@ def find_uncovered_batched(
     Matches the scalar :func:`repro.core.implication.find_uncovered`,
     whose superset enumeration walks ``L(target)`` in *descending* mask
     order -- so the largest uncovered mask is returned.
+
+    The target's own tables are read from the cache but never added to
+    it: a served target is usually asked once (repeats are answered by
+    the server's answer memo), and each kept one would pin two tables.
     """
     cache = cache or _SHARED
-    target_table = cache.lattice_table(target)
+    target_table = cache.lattice_table(target, memoize=False)
     covered = cache.joint_lattice_table(cset)
     uncovered = np.flatnonzero(target_table & ~covered)
     return int(uncovered[-1]) if uncovered.size else None

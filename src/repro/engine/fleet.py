@@ -21,7 +21,8 @@ front router that speaks the same wire protocol.  The pieces:
     router admission-tests it against per-tenant token buckets
     (:mod:`repro.engine.quota`), answers ``429 Too Many Requests`` on
     quota refusal -- *distinct* from the workers' saturation ``503`` --
-    and otherwise relays the request verbatim to the routed worker.
+    and otherwise relays the request verbatim to the routed worker over
+    a pooled keep-alive connection.
     ``/healthz`` aggregates worker health (readiness is health-gated:
     200 only when every worker answers), ``/stats`` surfaces per-worker
     routing counts, restarts, and the quota counters.
@@ -61,12 +62,18 @@ import time
 from bisect import bisect_right
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.engine.net import (
+# read_http_request and write_http_response stay importable from this
+# module under their own names: perfbench/tracing.py times them here
+# as well as in repro.engine.net.
+from repro.engine.net import (  # noqa: F401
+    HttpRequest,
     ServiceError,
     ServiceHandle,
-    _HttpError,
-    _READ_TIMEOUT,
+    close_idle,
     read_http_request,
+    read_http_response,
+    serve_http_connection,
+    write_http_request,
     write_http_response,
 )
 from repro.engine.persist import DurableStore
@@ -533,7 +540,8 @@ class FleetSupervisor:
 async def probe_http(
     host: str, port: int, path: str = "/healthz", timeout: float = 2.0
 ) -> Tuple[int, dict]:
-    """One GET against a worker; returns ``(status, decoded body)``.
+    """One GET against a worker on its own connection; returns
+    ``(status, decoded body)``.
 
     Raises
     ------
@@ -548,12 +556,12 @@ async def probe_http(
     except asyncio.TimeoutError as err:
         raise OSError(f"connect to {host}:{port} timed out") from err
     try:
-        writer.write(
-            f"GET {path} HTTP/1.1\r\nHost: {host}:{port}\r\n"
-            "Connection: close\r\n\r\n".encode()
-        )
+        write_http_request(writer, "GET", path, f"{host}:{port}",
+                           keep_alive=False)
         await writer.drain()
-        raw = await asyncio.wait_for(reader.read(), timeout)
+        status, _, body = await asyncio.wait_for(
+            read_http_response(reader), timeout
+        )
     except asyncio.TimeoutError as err:
         raise OSError(f"read from {host}:{port} timed out") from err
     finally:
@@ -562,11 +570,9 @@ async def probe_http(
             await writer.wait_closed()
         except (ConnectionError, OSError):
             pass
-    head, _, body = raw.partition(b"\r\n\r\n")
     try:
-        status = int(head.split(None, 2)[1])
         decoded = json.loads(body) if body else {}
-    except (IndexError, ValueError) as err:
+    except ValueError as err:
         raise OSError(f"garbled response from {host}:{port}") from err
     return status, decoded
 
@@ -577,18 +583,23 @@ async def probe_http(
 class FleetRouter:
     """The fleet's front end: tenant routing + quotas over raw relay.
 
-    The router terminates the client connection, extracts the tenant id
-    (``X-Repro-Tenant`` header, else a ``"tenant"`` body field, else
-    :data:`DEFAULT_TENANT`), admission-tests data-plane POSTs against
-    the per-tenant :class:`~repro.engine.quota.TenantQuotas`, and
-    relays everything else byte-for-byte to the worker the
-    :class:`HashRing` owns the tenant to.  Refusal codes are kept
-    disjoint on purpose:
+    The router terminates kept-alive client connections, extracts each
+    request's tenant id (``X-Repro-Tenant`` header, else a ``"tenant"``
+    body field, else :data:`DEFAULT_TENANT`), admission-tests data-plane
+    POSTs against the per-tenant :class:`~repro.engine.quota.TenantQuotas`,
+    and relays everything else to the worker the :class:`HashRing` owns
+    the tenant to.  The relay keeps a pool of idle upstream connections
+    per worker address (a respawned worker listens on a new port, so its
+    dead connections are dropped, never reused), passes the request
+    and reply bodies through as raw bytes and frames the reply by
+    ``Content-Length``.  Refusal codes are kept disjoint on purpose:
 
     * ``429`` -- *this tenant* is over quota (router-issued; clients
       must not auto-retry);
     * ``503`` -- the routed worker is saturated or restarting
-      (worker-issued or router-issued; idempotent requests retry).
+      (worker-issued or router-issued; idempotent requests retry);
+    * ``502`` -- the worker connection broke mid-request, so the
+      request may have been applied (never retried).
 
     Handled locally instead of relayed: ``GET /healthz`` (aggregated,
     health-gated: 200 only when every worker is up), ``GET /stats``
@@ -619,6 +630,13 @@ class FleetRouter:
                 f"has {len(supervisor)}"
             )
         self._on_stop: Optional[Callable[[], None]] = None
+        #: Client connections waiting for their next request.
+        self._idle: set = set()
+        self._draining = False
+        #: Idle upstream ``(reader, writer)`` pairs per worker address,
+        #: and the address each worker index was last relayed to.
+        self._pool: dict = {}
+        self._pool_address: dict = {}
         self._relayed = 0
         self._throttled = 0
         self._unrouteable = 0
@@ -651,60 +669,44 @@ class FleetRouter:
     async def handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        """Serve one client connection (parse, admit, route, relay)."""
-        try:
-            try:
-                request = await asyncio.wait_for(
-                    read_http_request(reader), timeout=_READ_TIMEOUT
-                )
-                if request is None:
-                    return
-                method, path, headers, body = request
-            except asyncio.TimeoutError:
-                write_http_response(
-                    writer, 408, {"error": "request not received in time"}
-                )
-                return
-            except _HttpError as err:
-                write_http_response(writer, err.status, {"error": err.message})
-                return
-            await self._dispatch(writer, method, path, headers, body)
-        finally:
-            try:
-                await writer.drain()
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+        """Serve one kept-alive client connection (parse, admit, route,
+        relay), request after request."""
+        await serve_http_connection(
+            reader, writer, self._respond, self._idle, lambda: self._draining
+        )
 
-    async def _dispatch(
-        self, writer, method: str, path: str, headers: dict, body: dict
-    ) -> None:
+    def drain(self) -> None:
+        """Begin the shutdown: close client connections idle between
+        requests and every pooled upstream connection; busy connections
+        close after their reply."""
+        self._draining = True
+        close_idle(self._idle)
+        for pool in self._pool.values():
+            for _, up_writer in pool:
+                up_writer.close()
+        self._pool.clear()
+
+    async def _respond(self, request: HttpRequest) -> tuple:
+        """One request's ``(status, payload, extra_headers)``."""
+        method, path = request.method, request.path
         if path == "/healthz" and method == "GET":
             status, payload = await self.health_payload()
-            write_http_response(writer, status, payload)
-            return
+            return status, payload, ()
         if path == "/stats" and method == "GET":
-            write_http_response(writer, 200, self.stats_payload())
-            return
+            return 200, self.stats_payload(), ()
         if path == "/shutdown" and method == "POST":
-            write_http_response(writer, 200, {"stopping": True})
             if self._on_stop is not None:
                 self._on_stop()
-            return
+            return 200, {"stopping": True}, ()
         if method != "POST":
-            write_http_response(
-                writer, 405, {"error": f"{method} not allowed on {path}"}
-            )
-            return
-        tenant = self.tenant_of(headers, body)
+            return 405, {"error": f"{method} not allowed on {path}"}, ()
+        tenant = self.tenant_of(request.headers, request.body)
         allowed, retry_after = self._quotas.admit(tenant)
         if not allowed:
             # quota refusal: a 429, not a 503 -- "your budget", not
             # "our capacity"; clients must not auto-retry it
             self._throttled += 1
-            write_http_response(
-                writer,
+            return (
                 429,
                 {
                     "error": f"tenant {tenant!r} is over its request quota",
@@ -712,74 +714,87 @@ class FleetRouter:
                 },
                 (("Retry-After", str(int(retry_after))),),
             )
-            return
         worker = self._supervisor.workers[self._ring.route(tenant)]
         address = worker.address
         if address is None:
             # the routed worker is down/restarting: transient -> 503
             self._unrouteable += 1
-            write_http_response(
-                writer,
+            return (
                 503,
                 {"error": f"worker {worker.index} is restarting, retry"},
                 (("Retry-After", "1"),),
             )
-            return
         worker.routed += 1
         self._relayed += 1
-        await self._relay(writer, address, method, path, tenant, body)
+        return await self._relay(worker, address, request, tenant)
 
     async def _relay(
         self,
-        writer,
+        worker: FleetWorker,
         address: Tuple[str, int],
-        method: str,
-        path: str,
+        request: HttpRequest,
         tenant: str,
-        body: dict,
-    ) -> None:
-        """Forward one request upstream and stream the reply back."""
-        host, port = address
-        payload = json.dumps(body).encode()
-        upstream = (
-            f"{method} {path} HTTP/1.1\r\n"
-            f"Host: {host}:{port}\r\n"
-            "Content-Type: application/json\r\n"
-            f"Content-Length: {len(payload)}\r\n"
-            f"X-Repro-Tenant: {tenant}\r\n"
-            "Connection: close\r\n\r\n"
-        ).encode() + payload
-        try:
-            up_reader, up_writer = await asyncio.open_connection(host, port)
-        except OSError:
-            write_http_response(
-                writer,
-                503,
-                {"error": "worker connection refused, retry"},
-                (("Retry-After", "1"),),
-            )
-            return
-        try:
-            up_writer.write(upstream)
-            await up_writer.drain()
-            # workers close after one response: relay bytes to EOF
-            while True:
-                chunk = await up_reader.read(1 << 16)
-                if not chunk:
-                    break
-                writer.write(chunk)
-                await writer.drain()
-        except (ConnectionError, OSError):
-            # mid-relay upstream failure: the response head may already
-            # be on the client wire, so the only honest move is to drop
-            # the connection (the client surfaces a transport error)
-            writer.transport.abort()
-        finally:
-            up_writer.close()
+    ) -> tuple:
+        """Forward one request upstream over a pooled connection and
+        return the worker's reply (body bytes passed through both ways)."""
+        upstream = self._checkout(worker.index, address)
+        if upstream is None:
             try:
-                await up_writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+                upstream = await asyncio.open_connection(*address)
+            except OSError:
+                return (
+                    503,
+                    {"error": "worker connection refused, retry"},
+                    (("Retry-After", "1"),),
+                )
+        up_reader, up_writer = upstream
+        host, port = address
+        try:
+            write_http_request(
+                up_writer, request.method, request.path, f"{host}:{port}",
+                request.raw, (("X-Repro-Tenant", tenant),),
+            )
+            await up_writer.drain()
+            status, headers, body = await read_http_response(up_reader)
+        except OSError:
+            # the worker died or closed mid-request: the request may
+            # have reached it, so this is no refusal to retry
+            up_writer.close()
+            return 502, {"error": f"worker {worker.index} connection lost"}, ()
+        if headers.get("connection", "").lower() == "close":
+            up_writer.close()
+        else:
+            self._checkin(worker.index, address, upstream)
+        extra = ()
+        if "retry-after" in headers:
+            extra = (("Retry-After", headers["retry-after"]),)
+        return status, body, extra
+
+    def _checkout(self, index: int, address: Tuple[str, int]):
+        """An idle pooled connection to ``address``, or ``None``."""
+        if self._pool_address.get(index) != address:
+            # the worker respawned on a new port: its old connections
+            # are dead, never reuse them
+            for _, up_writer in self._pool.pop(
+                self._pool_address.get(index), ()
+            ):
+                up_writer.close()
+            self._pool_address[index] = address
+        pool = self._pool.get(address, [])
+        while pool:
+            up_reader, up_writer = pool.pop()
+            if not (up_reader.at_eof() or up_writer.is_closing()):
+                return up_reader, up_writer
+            up_writer.close()  # the worker closed it while idle
+        return None
+
+    def _checkin(self, index: int, address: Tuple[str, int], upstream) -> None:
+        """Return a connection to the pool (closed instead when draining
+        or when the worker has moved on to another address meanwhile)."""
+        if self._draining or self._pool_address.get(index) != address:
+            upstream[1].close()
+        else:
+            self._pool.setdefault(address, []).append(upstream)
 
     # ------------------------------------------------------------------
     async def health_payload(self) -> Tuple[int, dict]:
@@ -906,9 +921,10 @@ class FleetService:
     async def run(self, install_signal_handlers: bool = True) -> None:
         """Boot the fleet, route until stopped, then drain everything.
 
-        Order on the way down mirrors the way up: stop accepting, await
-        in-flight relays, SIGTERM fan-out to the workers (each drains
-        and snapshots its own store), join them.
+        Order on the way down mirrors the way up: stop accepting, close
+        idle client and upstream connections, await in-flight relays,
+        SIGTERM fan-out to the workers (each drains and snapshots its
+        own store), join them.
 
         Raises
         ------
@@ -942,6 +958,9 @@ class FleetService:
             await self._stopping.wait()
         finally:
             server.close()
+            # idle kept-alive clients and pooled upstreams must not hold
+            # the drain for the read timeout
+            self.router.drain()
             await server.wait_closed()
             if self._connections:
                 await asyncio.gather(

@@ -26,6 +26,11 @@ path            method  body -> response
 
 Operational behavior:
 
+* **Connection reuse**: HTTP/1.1 keep-alive.  A connection carries
+  request after request until the client sends ``Connection: close``,
+  an error or 503 refusal is answered (those always close), the drain
+  begins, or it sits idle for ``_READ_TIMEOUT`` seconds.  Responses are
+  framed by ``Content-Length``.
 * **Backpressure**: at most ``queue_size`` requests are admitted
   concurrently; excess arrivals are refused immediately with ``503``
   and a ``Retry-After`` hint instead of queueing without bound.
@@ -38,11 +43,17 @@ Operational behavior:
   should run with ``fsync="never"`` (the OS flushes; recovery treats a
   lost suffix as a torn tail) rather than move commits off the loop.
 * **Graceful drain**: ``SIGTERM``/``SIGINT`` (or ``POST /shutdown``)
-  stops accepting connections, drains in-flight requests, stops the
-  microbatcher, snapshots a durable session, and closes the store.
+  stops accepting connections, closes connections idle between
+  requests, drains in-flight requests, stops the microbatcher,
+  snapshots a durable session, and closes the store.
 
-:class:`ReproClient` is the matching blocking client (stdlib
-``http.client``), used by tests, the CI end-to-end driver and scripts.
+The codec -- :func:`read_http_request`, :func:`write_http_response`,
+their upstream twins :func:`write_http_request` /
+:func:`read_http_response`, and the keep-alive connection loop
+:func:`serve_http_connection` -- is shared with the fleet router, so
+every hop speaks one dialect.  :class:`ReproClient` is the matching
+blocking client (stdlib ``http.client``, one persistent connection per
+thread), used by tests, the CI end-to-end driver and scripts.
 
 Like the rest of the engine this module imports nothing from
 :mod:`repro.core`: constraint texts are parsed by a caller-provided
@@ -62,26 +73,32 @@ import socket
 import threading
 import time
 from fractions import Fraction
-from typing import Callable, Optional, Tuple
+from typing import Awaitable, Callable, NamedTuple, Optional, Tuple
 
 from repro.engine.server import ConstraintServer
 from repro.engine.stream import StreamSession, parse_transaction_log
 from repro.errors import PersistenceError
 
 __all__ = [
+    "HttpRequest",
     "ReproClient",
     "ReproService",
     "ServiceError",
     "ServiceHandle",
     "read_http_request",
+    "read_http_response",
+    "serve_http_connection",
+    "write_http_request",
     "write_http_response",
 ]
 
-_MAX_BODY = 8 << 20  # refuse absurd request bodies rather than buffer them
+_MAX_BODY = 8 << 20  # refuse absurd bodies rather than buffer them
 
-#: How long a connection may take to deliver its request.  Bounds the
-#: graceful drain too: an idle or wedged client cannot hold the service
-#: open past this (the drain awaits every accepted connection task).
+#: How long a connection may take to deliver its request, and how long
+#: a kept-alive connection may sit idle before the server closes it.
+#: Bounds the graceful drain too: a client that connected but never sent
+#: its first request cannot hold the service open past this (connections
+#: idle between requests are closed at once).
 _READ_TIMEOUT = 30.0
 
 
@@ -114,14 +131,49 @@ _REASONS = {
 }
 
 
+class HttpRequest(NamedTuple):
+    """One parsed request (see :func:`read_http_request`)."""
+
+    method: str
+    path: str
+    #: Header names lower-cased.
+    headers: dict
+    #: The decoded JSON object (``{}`` when there is no body).
+    body: dict
+    #: The body bytes exactly as received (the router relays these).
+    raw: bytes
+    #: Whether the client lets the connection carry another request:
+    #: HTTP/1.1 unless it sent ``Connection: close``.
+    keep_alive: bool
+
+
+async def _read_head(reader: asyncio.StreamReader) -> dict:
+    """The header block after a start line, names lower-cased."""
+    headers: dict = {}
+    while True:
+        line = await reader.readline()
+        if line in (b"\r\n", b"\n", b""):
+            return headers
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+
+
+def _content_length(headers: dict) -> int:
+    """The declared body length (``ValueError`` unless a non-negative
+    integer)."""
+    length = int(headers.get("content-length", 0))
+    if length < 0:
+        raise ValueError(f"negative Content-Length {length}")
+    return length
+
+
 async def read_http_request(
     reader: asyncio.StreamReader,
-) -> Optional[Tuple[str, str, dict, dict]]:
+) -> Optional[HttpRequest]:
     """Parse one HTTP/1.1 request from ``reader``.
 
-    Returns ``(method, path, headers, body)`` -- headers lower-cased,
-    body the decoded JSON object (``{}`` when there is none) -- or
-    ``None`` if the peer closed before sending a request line.
+    Returns an :class:`HttpRequest`, or ``None`` if the peer closed
+    before sending a request line.
 
     Raises
     ------
@@ -142,20 +194,15 @@ async def read_http_request(
     parts = request_line.decode("latin-1").split()
     if len(parts) != 3:
         raise _HttpError(400, "malformed request line")
-    method, path, _version = parts
-    headers: dict = {}
-    while True:
-        line = await reader.readline()
-        if line in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = line.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
+    method, path, version = parts
+    headers = await _read_head(reader)
     try:
-        length = int(headers.get("content-length", 0))
+        length = _content_length(headers)
     except ValueError:
         raise _HttpError(400, "bad Content-Length")
     if length > _MAX_BODY:
         raise _HttpError(413, f"body over {_MAX_BODY} bytes")
+    raw = b""
     body: dict = {}
     if length:
         try:
@@ -170,27 +217,173 @@ async def read_http_request(
             raise _HttpError(400, f"request body is not JSON: {err}")
         if not isinstance(body, dict):
             raise _HttpError(400, "request body must be a JSON object")
-    return method, path, headers, body
+    connection = headers.get("connection", "").lower()
+    if version == "HTTP/1.1":
+        keep_alive = connection != "close"
+    else:
+        keep_alive = connection == "keep-alive"
+    return HttpRequest(method, path, headers, body, raw, keep_alive)
 
 
 def write_http_response(
-    writer: asyncio.StreamWriter, status: int, payload: dict,
+    writer: asyncio.StreamWriter, status: int, payload,
     extra_headers: Tuple[Tuple[str, str], ...] = (),
+    keep_alive: bool = False,
 ) -> None:
-    """Serialize one ``Connection: close`` JSON response onto ``writer``.
+    """Serialize one JSON response onto ``writer``.
 
-    Shared by :class:`ReproService` and the fleet router; does not
-    flush -- the caller drains/closes the writer.
+    ``payload`` is a dict to encode, or ``bytes`` that already are the
+    JSON body (the router relays a worker's reply this way).  The
+    response announces ``Connection: keep-alive`` when ``keep_alive``
+    is true and ``Connection: close`` otherwise; the caller must then
+    close the connection.  Shared by :class:`ReproService` and the
+    fleet router; does not flush -- the caller drains the writer.
     """
-    body = json.dumps(payload).encode()
+    body = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
+    start = f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}"
+    _write_message(writer, start, body, keep_alive, extra_headers)
+
+
+def write_http_request(
+    writer: asyncio.StreamWriter, method: str, path: str, host: str,
+    body: bytes = b"",
+    extra_headers: Tuple[Tuple[str, str], ...] = (),
+    keep_alive: bool = True,
+) -> None:
+    """Serialize one request (the router's upstream side); ``body`` is
+    sent verbatim as JSON.  Does not flush."""
+    _write_message(
+        writer, f"{method} {path} HTTP/1.1", body, keep_alive,
+        (("Host", host),) + tuple(extra_headers),
+    )
+
+
+def _write_message(
+    writer: asyncio.StreamWriter, start_line: str, body: bytes,
+    keep_alive: bool, extra_headers: Tuple[Tuple[str, str], ...],
+) -> None:
     headers = [
-        f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
+        start_line,
         "Content-Type: application/json",
         f"Content-Length: {len(body)}",
-        "Connection: close",
+        "Connection: keep-alive" if keep_alive else "Connection: close",
     ]
     headers.extend(f"{k}: {v}" for k, v in extra_headers)
     writer.write(("\r\n".join(headers) + "\r\n\r\n").encode() + body)
+
+
+async def read_http_response(
+    reader: asyncio.StreamReader,
+) -> Tuple[int, dict, bytes]:
+    """Read one response framed by ``Content-Length``.
+
+    Returns ``(status, headers, body bytes)``, header names lower-cased.
+
+    Raises
+    ------
+    OSError
+        If the peer closes before the whole response arrived
+        (``ConnectionError``) or the response is garbled.
+    """
+    status_line = await reader.readline()
+    if not status_line:
+        raise ConnectionError("connection closed before a response")
+    try:
+        status = int(status_line.split(None, 2)[1])
+        headers = await _read_head(reader)
+        length = _content_length(headers)
+    except (IndexError, ValueError) as err:
+        raise OSError(f"garbled response: {err}") from err
+    if length > _MAX_BODY:
+        raise OSError(f"response body over {_MAX_BODY} bytes")
+    try:
+        body = await reader.readexactly(length)
+    except asyncio.IncompleteReadError as err:
+        raise ConnectionError("connection closed mid-response") from err
+    return status, headers, body
+
+
+async def serve_http_connection(
+    reader: asyncio.StreamReader,
+    writer: asyncio.StreamWriter,
+    respond: Callable[[HttpRequest], Awaitable[tuple]],
+    idle: set,
+    draining: Callable[[], bool],
+) -> None:
+    """Serve requests on one client connection until it should close.
+
+    ``respond(request)`` answers one parsed request with ``(status,
+    payload, extra_headers)``.  The connection carries another request
+    only when the client allows it, the status is below 400 (errors and
+    503 refusals close) and ``draining()`` is false.  While it waits for
+    a second or later request the writer sits in ``idle``, so a drain
+    can close it instead of waiting out ``_READ_TIMEOUT``; a request
+    read from a connection the drain closed is dropped, not answered.
+    An idle connection that stays silent for ``_READ_TIMEOUT`` is closed
+    without a response; a first request that does not arrive in time
+    gets a 408.  Shared by :class:`ReproService` and the fleet router.
+    """
+    loop = asyncio.get_running_loop()
+    served = False
+    try:
+        while True:
+            if served:
+                if draining():
+                    return
+                idle.add(writer)
+            # a timer, not wait_for: no extra task per request
+            timer = loop.call_later(_READ_TIMEOUT, _time_out, writer, served)
+            try:
+                request = await read_http_request(reader)
+            except _HttpError as err:
+                if not writer.is_closing():
+                    write_http_response(
+                        writer, err.status, {"error": err.message}
+                    )
+                return
+            finally:
+                timer.cancel()
+                idle.discard(writer)
+            if request is None or writer.is_closing():
+                return
+            status, payload, extra_headers = await respond(request)
+            keep_alive = request.keep_alive and status < 400 and not draining()
+            write_http_response(
+                writer, status, payload, extra_headers, keep_alive
+            )
+            if not keep_alive:
+                return
+            await writer.drain()
+            served = True
+    except (ConnectionError, OSError):
+        pass  # the client went away mid-response
+    finally:
+        try:
+            await writer.drain()
+            writer.close()
+            await writer.wait_closed()
+        except (ConnectionError, OSError):
+            pass
+
+
+def _time_out(writer: asyncio.StreamWriter, served: bool) -> None:
+    """Close a connection whose request did not arrive in time; the
+    pending read then sees EOF.  Only a first request is owed a 408."""
+    if not served:
+        write_http_response(
+            writer, 408, {"error": "request not received in time"}
+        )
+    writer.close()
+
+
+def close_idle(idle: set) -> None:
+    """Close every connection waiting between requests (the drain).
+
+    Only the transports are closed: each handler then reads EOF and
+    returns on its own, so no task is cancelled."""
+    for writer in list(idle):
+        writer.close()
+    idle.clear()
 
 
 def _json_value(value):
@@ -292,6 +485,7 @@ class ReproService:
         self._inflight = 0
         self._refused = 0
         self._connections: set = set()
+        self._idle: set = set()
         self._drained: Optional[asyncio.Event] = None
         self._stopping: Optional[asyncio.Event] = None
         self._write_lock: Optional[asyncio.Lock] = None
@@ -321,75 +515,31 @@ class ReproService:
     # ------------------------------------------------------------------
     # HTTP plumbing
     # ------------------------------------------------------------------
-    async def _read_request(
-        self, reader: asyncio.StreamReader
-    ) -> Optional[Tuple[str, str, dict]]:
-        """One parsed request as ``(method, path, body)`` (or ``None``
-        on a silent close); framing errors raise :class:`_HttpError`."""
-        request = await read_http_request(reader)
-        if request is None:
-            return None
-        method, path, _headers, body = request
-        return method, path, body
-
-    @staticmethod
-    def _write_response(
-        writer: asyncio.StreamWriter, status: int, payload: dict,
-        extra_headers: Tuple[Tuple[str, str], ...] = (),
-    ) -> None:
-        """Emit one JSON response (see :func:`write_http_response`)."""
-        write_http_response(writer, status, payload, extra_headers)
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    async def _respond(self, request: HttpRequest) -> tuple:
+        """Admit one request and answer it: ``(status, payload,
+        extra_headers)``."""
+        if self._inflight >= self._queue_size:
+            # backpressure: refuse instead of queueing unboundedly
+            self._refused += 1
+            return (
+                503,
+                {"error": "server overloaded, retry"},
+                (("Retry-After", "1"),),
+            )
+        self._inflight += 1
         try:
-            try:
-                request = await asyncio.wait_for(
-                    self._read_request(reader), timeout=_READ_TIMEOUT
-                )
-                if request is None:
-                    return
-                method, path, body = request
-            except asyncio.TimeoutError:
-                self._write_response(
-                    writer, 408, {"error": "request not received in time"}
-                )
-                return
-            except _HttpError as err:
-                self._write_response(
-                    writer, err.status, {"error": err.message}
-                )
-                return
-            if self._inflight >= self._queue_size:
-                # backpressure: refuse instead of queueing unboundedly
-                self._refused += 1
-                self._write_response(
-                    writer,
-                    503,
-                    {"error": "server overloaded, retry"},
-                    (("Retry-After", "1"),),
-                )
-                return
-            self._inflight += 1
-            try:
-                status, payload = await self._dispatch(method, path, body)
-            except _HttpError as err:
-                status, payload = err.status, {"error": err.message}
-            except Exception as err:  # noqa: BLE001 - wire boundary
-                status, payload = 500, {"error": f"{type(err).__name__}: {err}"}
-            finally:
-                self._inflight -= 1
-                if self._inflight == 0 and self._drained is not None:
-                    self._drained.set()
-            self._write_response(writer, status, payload)
+            status, payload = await self._dispatch(
+                request.method, request.path, request.body
+            )
+        except _HttpError as err:
+            status, payload = err.status, {"error": err.message}
+        except Exception as err:  # noqa: BLE001 - wire boundary
+            status, payload = 500, {"error": f"{type(err).__name__}: {err}"}
         finally:
-            try:
-                await writer.drain()
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            self._inflight -= 1
+            if self._inflight == 0 and self._drained is not None:
+                self._drained.set()
+        return status, payload, ()
 
     # ------------------------------------------------------------------
     # endpoints
@@ -499,8 +649,9 @@ class ReproService:
     async def run(self, install_signal_handlers: bool = True) -> None:
         """Serve until SIGTERM/SIGINT or ``/shutdown``, then drain.
 
-        The drain order is deliberate: stop accepting, wait for
-        in-flight requests, stop the microbatcher, snapshot a durable
+        The drain order is deliberate: stop accepting, close connections
+        idle between requests, wait for in-flight requests (each closes
+        its connection after replying), stop the microbatcher, snapshot a durable
         session, close the store -- so a graceful exit always leaves a
         compacted data directory that recovers instantly.
         """
@@ -530,7 +681,11 @@ class ReproService:
                 self._on_ready(self._host, self._port)
             await self._stopping.wait()
         finally:
+            self._stopping.set()  # busy connections close after replying
             server.close()
+            # kept-alive connections waiting for their next request would
+            # hold the drain for _READ_TIMEOUT: close them now
+            close_idle(self._idle)
             await server.wait_closed()
             # wait_closed() does not wait for connection handlers before
             # py3.12: connections accepted pre-close may still be reading
@@ -568,7 +723,10 @@ class ReproService:
         task = asyncio.current_task()
         self._connections.add(task)
         try:
-            await self._handle_connection(reader, writer)
+            await serve_http_connection(
+                reader, writer, self._respond, self._idle,
+                self._stopping.is_set,
+            )
         finally:
             self._connections.discard(task)
 
@@ -662,11 +820,43 @@ class ServiceHandle:
         self.stop()
 
 
+class _Connection(http.client.HTTPConnection):
+    """A client's persistent connection; closes its socket when dropped
+    (its thread exits or its client is collected)."""
+
+    def __del__(self):
+        self.close()
+
+
+def _peer_closed(sock: socket.socket) -> bool:
+    """Whether an idle kept-alive socket is readable.
+
+    Nothing is owed on an idle connection, so readable means the server
+    closed it (EOF or a reset) or sent stray bytes: either way it cannot
+    carry a request."""
+    timeout = sock.gettimeout()
+    sock.setblocking(False)
+    try:
+        sock.recv(1, socket.MSG_PEEK)
+    except BlockingIOError:
+        return False
+    except OSError:
+        return True
+    finally:
+        sock.settimeout(timeout)
+    return True
+
+
 class ReproClient:
     """Small blocking HTTP client for the wire protocol.
 
-    One connection per request (the protocol closes connections), so a
-    client object is cheap, stateless and safe to share across threads.
+    Each thread using the client keeps one persistent keep-alive
+    connection (``threading.local``), so a client object is cheap and
+    safe to share across threads.  Before a pooled connection is reused
+    it is checked: a readable idle socket means the server closed it
+    (drain, idle timeout, restart), so it is discarded and the request
+    goes out on a fresh connection.  The server closes after errors and
+    refusals; the next request then reconnects.
 
     The server's bounded admission queue refuses excess load with
     ``503 "server overloaded, retry"``; the client honors that hint
@@ -717,6 +907,25 @@ class ReproClient:
         self._max_backoff = max_backoff
         self._rng = rng if rng is not None else random.Random()
         self._tenant = tenant
+        self._local = threading.local()
+
+    def _connection(self) -> _Connection:
+        """The calling thread's connection, checked for reuse."""
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = _Connection(
+                self._host, self._port, timeout=self._timeout
+            )
+        elif conn.sock is not None and _peer_closed(conn.sock):
+            conn.close()  # the next request reconnects
+        return conn
+
+    def close(self) -> None:
+        """Close the calling thread's connection (the next request
+        opens a new one)."""
+        conn = getattr(self._local, "conn", None)
+        if conn is not None:
+            conn.close()
 
     def _request(
         self,
@@ -745,38 +954,32 @@ class ReproClient:
             attempt += 1
 
     def _request_once(self, method: str, path: str, body: Optional[dict] = None) -> dict:
-        conn = http.client.HTTPConnection(
-            self._host, self._port, timeout=self._timeout
-        )
+        conn = self._connection()
+        payload = json.dumps(body).encode() if body is not None else None
+        headers = {"Content-Type": "application/json"} if payload else {}
+        if self._tenant is not None:
+            headers["X-Repro-Tenant"] = self._tenant
         try:
-            payload = json.dumps(body).encode() if body is not None else None
-            headers = {"Content-Type": "application/json"} if payload else {}
-            if self._tenant is not None:
-                headers["X-Repro-Tenant"] = self._tenant
-            try:
-                conn.request(method, path, body=payload, headers=headers)
-                response = conn.getresponse()
-                raw = response.read()
-            except (ConnectionError, socket.timeout, OSError) as err:
-                raise ServiceError(
-                    f"{method} {path} failed: {err}"
-                ) from err
-            try:
-                decoded = json.loads(raw) if raw else {}
-            except ValueError as err:
-                raise ServiceError(
-                    f"{method} {path}: non-JSON response ({err})",
-                    status=response.status,
-                ) from err
-            if response.status != 200:
-                raise ServiceError(
-                    f"{method} {path} -> {response.status}: "
-                    f"{decoded.get('error', raw[:200])}",
-                    status=response.status,
-                )
-            return decoded
-        finally:
-            conn.close()
+            conn.request(method, path, body=payload, headers=headers)
+            response = conn.getresponse()
+            raw = response.read()
+        except (OSError, http.client.HTTPException) as err:
+            conn.close()  # unknown state: never reuse it
+            raise ServiceError(f"{method} {path} failed: {err}") from err
+        try:
+            decoded = json.loads(raw) if raw else {}
+        except ValueError as err:
+            raise ServiceError(
+                f"{method} {path}: non-JSON response ({err})",
+                status=response.status,
+            ) from err
+        if response.status != 200:
+            raise ServiceError(
+                f"{method} {path} -> {response.status}: "
+                f"{decoded.get('error', raw[:200])}",
+                status=response.status,
+            )
+        return decoded
 
     # ------------------------------------------------------------------
     def health(self) -> dict:

@@ -7,8 +7,12 @@ worse, recomputes answers that identical concurrent requests are about
 to recompute again.  :class:`ConstraintServer` puts an asyncio
 *microbatching* queue in front of the engine:
 
-1. the dispatcher sleeps until a request arrives, then drains the queue
-   for at most ``max_delay`` seconds or ``max_batch`` requests;
+1. the dispatcher sleeps until a request arrives, takes whatever else
+   is already queued and yields one event-loop turn; it lingers only
+   while each turn brings new arrivals, and stops at ``max_batch``
+   requests or once ``max_delay`` seconds have passed -- so a lone
+   request is dispatched at once, while requests that become ready
+   together still share a batch;
 2. the batch is *coalesced*: requests with equal fingerprint keys
    (:func:`repro.engine.decider.constraint_fingerprint` -- value
    identity, so equal constraints built independently coalesce) are
@@ -92,8 +96,10 @@ class ConstraintServer:
         (sharded or not) or any object with the set-function density
         protocol.  Version-keyed caching needs ``zero_version``.
     max_batch / max_delay:
-        Microbatch bounds: a batch closes at ``max_batch`` requests or
-        after ``max_delay`` seconds past the first arrival.
+        Microbatch bounds: a batch closes at ``max_batch`` requests,
+        when a loop turn brings no new arrival, or at the latest
+        ``max_delay`` seconds past the first arrival (a cap on
+        lingering, not a fixed wait).
     cache:
         The :class:`ImplicationCache` handed to the decider (the
         process-wide shared one by default).
@@ -234,18 +240,25 @@ class ConstraintServer:
                 return
             batch = [item]
             deadline = loop.time() + self._max_delay
-            while len(batch) < self._max_batch:
-                timeout = deadline - loop.time()
-                if timeout <= 0:
+            while True:
+                # take whatever is already queued
+                while len(batch) < self._max_batch and not queue.empty():
+                    item = queue.get_nowait()
+                    if item is _STOP:
+                        stopping = True
+                        break
+                    batch.append(item)
+                if (
+                    stopping
+                    or len(batch) >= self._max_batch
+                    or loop.time() >= deadline
+                ):
                     break
-                try:
-                    nxt = await asyncio.wait_for(queue.get(), timeout)
-                except asyncio.TimeoutError:
+                # one loop turn lets requests that became ready together
+                # enqueue; linger on only while that brings arrivals
+                await asyncio.sleep(0)
+                if queue.empty():
                     break
-                if nxt is _STOP:
-                    stopping = True
-                    break
-                batch.append(nxt)
             self._serve_batch(batch)
 
     def _serve_batch(self, batch) -> None:

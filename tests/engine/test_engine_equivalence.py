@@ -155,6 +155,9 @@ class TestEngineDecider:
         t = random_constraint(random.Random(7), ground_6, max_members=2)
         implies_engine(cs1, t, context=ctx)
         misses_before = cache.stats()["misses"]
+        # the equal set hits the memoized joint L(C) table; the one-shot
+        # target's table is built unmemoized, so it is neither a hit nor
+        # a miss
         implies_engine(cs2, t, context=ctx)
         assert cache.stats()["misses"] == misses_before
         assert cache.stats()["hits"] > 0

@@ -462,6 +462,81 @@ class TestFleetService:
             service.start_in_thread(timeout=30)
 
 
+@pytest.fixture
+def upstream_connects(monkeypatch):
+    """Addresses of every connection the in-thread router opens."""
+    import asyncio
+
+    opened = []
+    original = asyncio.open_connection
+
+    async def counting(host=None, port=None, **kwargs):
+        opened.append((host, port))
+        return await original(host, port, **kwargs)
+
+    monkeypatch.setattr(asyncio, "open_connection", counting)
+    return opened
+
+
+class TestRouterKeepAlive:
+    def test_routed_requests_reuse_one_upstream_per_worker(
+        self, constraint_file, upstream_connects
+    ):
+        service = FleetService(
+            [worker_command(constraint_file) for _ in range(2)],
+            env=fleet_env(),
+        )
+        ring = HashRing(2)
+        tenants = {ring.route(f"tenant-{i}"): f"tenant-{i}" for i in range(32)}
+        with service.start_in_thread(timeout=90) as handle:
+            del upstream_connects[:]  # readiness probes open their own
+            for tenant in tenants.values():
+                client = handle.client(tenant=tenant)
+                for _ in range(5):
+                    assert client.implies("A -> CD") is True
+                client.delta(["+ AB"])
+            addresses = {w.address for w in service.supervisor.workers}
+            assert sorted(upstream_connects) == sorted(addresses)
+
+    def test_respawned_worker_gets_fresh_upstream_connections(
+        self, constraint_file, upstream_connects
+    ):
+        service = FleetService([worker_command(constraint_file)],
+                               env=fleet_env())
+        with service.start_in_thread(timeout=90) as handle:
+            client = handle.client(retries=6, backoff=0.2, max_backoff=2.0)
+            assert client.implies("A -> CD") is True
+            worker = service.supervisor.workers[0]
+            old = worker.address
+            worker.proc.send_signal(signal.SIGKILL)
+            worker.proc.wait(timeout=30)
+            deadline = time.monotonic() + 60
+            while worker.address is None and time.monotonic() < deadline:
+                time.sleep(0.1)
+            del upstream_connects[:]
+            assert client.implies("A -> CD") is True
+            new = worker.address
+            assert new is not None and new != old
+            # the request went out on a new connection to the new port,
+            # and nothing to the old port is left in the pool
+            assert upstream_connects == [new]
+            assert old not in service.router._pool
+
+    def test_idle_client_connection_does_not_delay_stop(
+        self, constraint_file
+    ):
+        service = FleetService([worker_command(constraint_file)],
+                               env=fleet_env())
+        handle = service.start_in_thread(timeout=90)
+        client = handle.client()
+        assert client.implies("A -> CD") is True  # router -> worker pooled
+        started = time.monotonic()
+        handle.stop()
+        # the worker's own drain takes a moment; the 30 s read timeout
+        # would dominate if an idle connection held either side open
+        assert time.monotonic() - started < 10
+
+
 class TestFleetRouterUnits:
     def test_tenant_extraction_order(self):
         assert FleetRouter.tenant_of({"x-repro-tenant": "h"}, {"tenant": "b"}) == "h"

@@ -9,7 +9,11 @@ process boundary (which the driver script owns).
 from __future__ import annotations
 
 import concurrent.futures
+import http.client
 import json
+import socket
+import threading
+import time
 
 import pytest
 
@@ -405,3 +409,184 @@ class TestOverloadRetry:
     def test_stats_surface_the_calibration_state(self, service):
         stats = service.client().stats()
         assert stats["engine"]["calibration"] == {"enabled": False}
+
+
+@pytest.fixture
+def connects(monkeypatch):
+    """Counts every client connection opened through ``http.client``."""
+    opened = []
+    original = http.client.HTTPConnection.connect
+
+    def counting(self):
+        opened.append((self.host, self.port))
+        return original(self)
+
+    monkeypatch.setattr(http.client.HTTPConnection, "connect", counting)
+    return opened
+
+
+def _raw_exchange(sock, request: bytes) -> bytes:
+    """Send one request on a raw socket and read one whole response."""
+    sock.sendall(request)
+    data = b""
+    while b"\r\n\r\n" not in data:
+        data += sock.recv(4096)
+    head, _, body = data.partition(b"\r\n\r\n")
+    length = int(
+        [line for line in head.split(b"\r\n")
+         if line.lower().startswith(b"content-length:")][0].split(b":")[1]
+    )
+    while len(body) < length:
+        body += sock.recv(4096)
+    return head
+
+
+class TestKeepAlive:
+    def test_sequential_requests_share_one_connection(self, service, connects):
+        client = service.client()
+        for _ in range(10):
+            assert client.implies("A -> CD") is True
+        client.probe("AB")
+        client.delta(["+ AB"])
+        assert len(connects) == 1
+        client.close()
+
+    def test_each_thread_keeps_its_own_connection(self, service, connects):
+        client = service.client()
+
+        def work():
+            for _ in range(5):
+                client.implies("A -> CD")
+
+        threads = [threading.Thread(target=work) for _ in range(3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert len(connects) == 3
+
+    def test_raw_connection_carries_several_requests(self, service):
+        request = (
+            b"POST /implies HTTP/1.1\r\nContent-Type: application/json\r\n"
+            b"Content-Length: 25\r\n\r\n{\"constraint\": \"A -> CD\"}"
+        )
+        with socket.create_connection(
+            (service.host, service.port), timeout=10
+        ) as sock:
+            for _ in range(3):
+                head = _raw_exchange(sock, request)
+                assert head.startswith(b"HTTP/1.1 200")
+                assert b"Connection: keep-alive" in head
+
+    def test_client_connection_close_is_honoured(self, service):
+        with socket.create_connection(
+            (service.host, service.port), timeout=10
+        ) as sock:
+            head = _raw_exchange(
+                sock, b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n"
+            )
+            assert head.startswith(b"HTTP/1.1 200")
+            assert b"Connection: close" in head
+            assert sock.recv(4096) == b""  # the server closed its side
+
+    def test_errors_close_the_connection(self, service):
+        with socket.create_connection(
+            (service.host, service.port), timeout=10
+        ) as sock:
+            head = _raw_exchange(sock, b"POST /nope HTTP/1.1\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 404")
+            assert b"Connection: close" in head
+            assert sock.recv(4096) == b""
+
+    def test_stale_pooled_socket_reconnects(self, cset, connects):
+        first = ReproService(cset).start_in_thread()
+        port = first.port
+        client = first.client()
+        assert client.health()["status"] == "ok"
+        first.stop()  # closes the client's idle pooled connection
+        second = ReproService(cset, port=port).start_in_thread()
+        try:
+            assert client.health()["status"] == "ok"
+        finally:
+            second.stop()
+        assert len(connects) == 2
+
+    def test_idle_connection_does_not_delay_stop(self, cset):
+        handle = ReproService(cset).start_in_thread()
+        client = handle.client()
+        client.health()  # leaves a kept-alive connection idle
+        started = time.monotonic()
+        handle.stop()
+        assert time.monotonic() - started < 5  # not the 30 s read timeout
+
+
+class TestReadTimeout:
+    @pytest.fixture
+    def quick_timeout(self, monkeypatch):
+        from repro.engine import net
+
+        monkeypatch.setattr(net, "_READ_TIMEOUT", 0.2)
+
+    def test_silent_first_request_gets_a_408(self, quick_timeout, service):
+        with socket.create_connection(
+            (service.host, service.port), timeout=10
+        ) as sock:
+            response = sock.recv(4096)
+            assert response.startswith(b"HTTP/1.1 408")
+            assert b"Connection: close" in response
+
+    def test_idle_connection_is_closed_without_a_response(
+        self, quick_timeout, service
+    ):
+        with socket.create_connection(
+            (service.host, service.port), timeout=10
+        ) as sock:
+            head = _raw_exchange(sock, b"GET /healthz HTTP/1.1\r\n\r\n")
+            assert b"Connection: keep-alive" in head
+            assert sock.recv(4096) == b""  # closed, nothing owed
+
+
+class TestDeltaNeverReplayed:
+    def test_delta_on_a_dropped_connection_is_not_replayed(self, connects):
+        """The server reads the /delta and drops the connection without
+        answering: the client must surface the failure, not resend."""
+        received = []
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(10)
+
+        def fake_server():
+            conn, _ = listener.accept()
+            with conn:
+                reply = b'{"status": "ok"}'
+                received.append(conn.recv(65536))  # GET /healthz
+                conn.sendall(
+                    b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+                    b"Content-Length: %d\r\n\r\n%s" % (len(reply), reply)
+                )
+                received.append(conn.recv(65536))  # the /delta, unanswered
+            # a replay would arrive on a new connection
+            listener.settimeout(0.5)
+            try:
+                extra, _ = listener.accept()
+                received.append(extra.recv(65536))
+                extra.close()
+            except OSError:
+                pass
+
+        thread = threading.Thread(target=fake_server)
+        thread.start()
+        try:
+            client = ReproClient("127.0.0.1", listener.getsockname()[1],
+                                 timeout=10, retries=8, backoff=0.01)
+            assert client.health()["status"] == "ok"
+            with pytest.raises(ServiceError):
+                client.delta(["+ AB"])
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        finally:
+            listener.close()
+        assert [r.split(b" ", 2)[:2] for r in received] == [
+            [b"GET", b"/healthz"], [b"POST", b"/delta"],
+        ]
+        assert len(connects) == 1

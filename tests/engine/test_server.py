@@ -238,3 +238,35 @@ class TestConstraintServer:
                 return await server.implies(target(ground, "A -> C"))
 
         assert asyncio.run(scenario()) is True
+
+
+class TestAdaptiveDispatch:
+    """max_delay caps lingering; it is not a wait every request pays."""
+
+    def test_lone_request_is_dispatched_at_once(self, ground, cset):
+        import time
+
+        async def scenario():
+            async with ConstraintServer(cset, max_delay=1.0) as server:
+                started = time.monotonic()
+                answer = await server.implies(target(ground, "A -> C"))
+                return answer, time.monotonic() - started
+
+        answer, elapsed = asyncio.run(scenario())
+        assert answer is True
+        assert elapsed < 0.2  # not the 1 s window
+
+    def test_requests_ready_together_share_one_batch(self, ground, cset):
+        n = 8
+
+        async def scenario():
+            async with ConstraintServer(cset, max_delay=1.0) as server:
+                answers = await asyncio.gather(
+                    *[server.implies(target(ground, "A -> C")) for _ in range(n)]
+                )
+                return answers, server.stats
+
+        answers, stats = asyncio.run(scenario())
+        assert answers == [True] * n
+        assert stats.batches == 1
+        assert stats.coalesced == n - 1
