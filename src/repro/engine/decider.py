@@ -225,14 +225,20 @@ def shared_cache() -> ImplicationCache:
 
 
 def decide_batched(
-    cset, target, cache: Optional[ImplicationCache] = None
+    cset,
+    target,
+    cache: Optional[ImplicationCache] = None,
+    memoize_target: bool = True,
 ) -> bool:
     """``C |= target`` via vectorized table containment."""
-    return find_uncovered_batched(cset, target, cache) is None
+    return find_uncovered_batched(cset, target, cache, memoize_target) is None
 
 
 def find_uncovered_batched(
-    cset, target, cache: Optional[ImplicationCache] = None
+    cset,
+    target,
+    cache: Optional[ImplicationCache] = None,
+    memoize_target: bool = True,
 ) -> Optional[int]:
     """Some ``U in L(target) - L(C)`` as a mask, or ``None``.
 
@@ -240,12 +246,14 @@ def find_uncovered_batched(
     whose superset enumeration walks ``L(target)`` in *descending* mask
     order -- so the largest uncovered mask is returned.
 
-    The target's own tables are read from the cache but never added to
-    it: a served target is usually asked once (repeats are answered by
-    the server's answer memo), and each kept one would pin two tables.
+    With ``memoize_target=False`` the target's own tables are read from
+    the cache but never added to it.  That is for callers that memoize
+    answers themselves (:class:`~repro.engine.server.ConstraintServer`),
+    where a target reaches the decider about once and each kept one
+    would only pin two tables.
     """
     cache = cache or _SHARED
-    target_table = cache.lattice_table(target, memoize=False)
+    target_table = cache.lattice_table(target, memoize=memoize_target)
     covered = cache.joint_lattice_table(cset)
     uncovered = np.flatnonzero(target_table & ~covered)
     return int(uncovered[-1]) if uncovered.size else None

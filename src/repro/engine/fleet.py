@@ -72,6 +72,7 @@ from repro.engine.net import (  # noqa: F401
     close_idle,
     read_http_request,
     read_http_response,
+    reuse_expired,
     serve_http_connection,
     write_http_request,
     write_http_response,
@@ -633,8 +634,9 @@ class FleetRouter:
         #: Client connections waiting for their next request.
         self._idle: set = set()
         self._draining = False
-        #: Idle upstream ``(reader, writer)`` pairs per worker address,
-        #: and the address each worker index was last relayed to.
+        #: Idle upstream ``(reader, writer, idle_since)`` entries per
+        #: worker address, oldest first, and the address each worker
+        #: index was last relayed to.
         self._pool: dict = {}
         self._pool_address: dict = {}
         self._relayed = 0
@@ -682,7 +684,7 @@ class FleetRouter:
         self._draining = True
         close_idle(self._idle)
         for pool in self._pool.values():
-            for _, up_writer in pool:
+            for _, up_writer, _ in pool:
                 up_writer.close()
         self._pool.clear()
 
@@ -775,14 +777,18 @@ class FleetRouter:
         if self._pool_address.get(index) != address:
             # the worker respawned on a new port: its old connections
             # are dead, never reuse them
-            for _, up_writer in self._pool.pop(
+            for _, up_writer, _ in self._pool.pop(
                 self._pool_address.get(index), ()
             ):
                 up_writer.close()
             self._pool_address[index] = address
         pool = self._pool.get(address, [])
+        # past half the worker's idle timeout a connection may be closing
+        # under us: drop those (the oldest, at the front) unused
+        while pool and reuse_expired(pool[0][2]):
+            pool.pop(0)[1].close()
         while pool:
-            up_reader, up_writer = pool.pop()
+            up_reader, up_writer, _ = pool.pop()
             if not (up_reader.at_eof() or up_writer.is_closing()):
                 return up_reader, up_writer
             up_writer.close()  # the worker closed it while idle
@@ -794,7 +800,9 @@ class FleetRouter:
         if self._draining or self._pool_address.get(index) != address:
             upstream[1].close()
         else:
-            self._pool.setdefault(address, []).append(upstream)
+            self._pool.setdefault(address, []).append(
+                (*upstream, time.monotonic())
+            )
 
     # ------------------------------------------------------------------
     async def health_payload(self) -> Tuple[int, dict]:

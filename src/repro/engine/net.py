@@ -30,7 +30,9 @@ Operational behavior:
   request after request until the client sends ``Connection: close``,
   an error or 503 refusal is answered (those always close), the drain
   begins, or it sits idle for ``_READ_TIMEOUT`` seconds.  Responses are
-  framed by ``Content-Length``.
+  framed by ``Content-Length``.  Clients (:class:`ReproClient`, the
+  fleet router's upstream pool) stop reusing a connection once it has
+  been idle for half that timeout, so a request never races the close.
 * **Backpressure**: at most ``queue_size`` requests are admitted
   concurrently; excess arrivals are refused immediately with ``503``
   and a ``Retry-After`` hint instead of queueing without bound.
@@ -384,6 +386,16 @@ def close_idle(idle: set) -> None:
     for writer in list(idle):
         writer.close()
     idle.clear()
+
+
+def reuse_expired(idle_since: float) -> bool:
+    """Whether a kept-alive connection idle since ``idle_since`` (a
+    ``time.monotonic()`` reading) is too old to reuse.
+
+    The server closes a connection idle for ``_READ_TIMEOUT``; a request
+    sent near that moment can meet the close on the wire.  Past half the
+    timeout the caller opens a fresh connection instead."""
+    return time.monotonic() - idle_since >= _READ_TIMEOUT / 2
 
 
 def _json_value(value):
@@ -824,6 +836,9 @@ class _Connection(http.client.HTTPConnection):
     """A client's persistent connection; closes its socket when dropped
     (its thread exits or its client is collected)."""
 
+    #: ``time.monotonic()`` when the last response was read.
+    idle_since = 0.0
+
     def __del__(self):
         self.close()
 
@@ -854,7 +869,8 @@ class ReproClient:
     connection (``threading.local``), so a client object is cheap and
     safe to share across threads.  Before a pooled connection is reused
     it is checked: a readable idle socket means the server closed it
-    (drain, idle timeout, restart), so it is discarded and the request
+    (drain, idle timeout, restart), and one idle for half the server's
+    idle timeout may be closing, so either is discarded and the request
     goes out on a fresh connection.  The server closes after errors and
     refusals; the next request then reconnects.
 
@@ -916,7 +932,9 @@ class ReproClient:
             conn = self._local.conn = _Connection(
                 self._host, self._port, timeout=self._timeout
             )
-        elif conn.sock is not None and _peer_closed(conn.sock):
+        elif conn.sock is not None and (
+            _peer_closed(conn.sock) or reuse_expired(conn.idle_since)
+        ):
             conn.close()  # the next request reconnects
         return conn
 
@@ -963,6 +981,7 @@ class ReproClient:
             conn.request(method, path, body=payload, headers=headers)
             response = conn.getresponse()
             raw = response.read()
+            conn.idle_since = time.monotonic()
         except (OSError, http.client.HTTPException) as err:
             conn.close()  # unknown state: never reuse it
             raise ServiceError(f"{method} {path} failed: {err}") from err

@@ -288,8 +288,13 @@ class ConstraintServer:
                 ground, "is_dense_capable", lambda: True
             )()
             if dense_ok:
+                # repeats are answered from self._answers, so the
+                # target's tables are not worth keeping in the decider
                 return decide_batched(
-                    self._cset, payload, self._decider_cache
+                    self._cset,
+                    payload,
+                    self._decider_cache,
+                    memoize_target=False,
                 )
             # past the dense-table limit the batched decider would
             # allocate 2^|S| tables; defer to the constraint set's own

@@ -155,12 +155,22 @@ class TestEngineDecider:
         t = random_constraint(random.Random(7), ground_6, max_members=2)
         implies_engine(cs1, t, context=ctx)
         misses_before = cache.stats()["misses"]
-        # the equal set hits the memoized joint L(C) table; the one-shot
-        # target's table is built unmemoized, so it is neither a hit nor
-        # a miss
         implies_engine(cs2, t, context=ctx)
         assert cache.stats()["misses"] == misses_before
         assert cache.stats()["hits"] > 0
+
+    def test_library_calls_keep_the_target_tables(self, ground_6):
+        # in-process callers have no answer memo, so a repeated target
+        # must hit its memoized lattice table
+        cache = ImplicationCache()
+        ctx = EvalContext(cache=cache)
+        cs = ConstraintSet.of(ground_6, "A -> B")
+        t = ConstraintSet.of(ground_6, "C -> D").constraints[0]
+        implies_engine(cs, t, context=ctx)
+        assert cache.stats()["constraint_tables"] == 2
+        hits_before = cache.stats()["hits"]
+        implies_engine(cs, t, context=ctx)
+        assert cache.stats()["hits"] > hits_before
 
     def test_private_cache_is_isolated(self, ground_6):
         ctx = EvalContext(private_cache=True)

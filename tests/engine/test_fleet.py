@@ -522,6 +522,26 @@ class TestRouterKeepAlive:
             assert upstream_connects == [new]
             assert old not in service.router._pool
 
+    def test_upstream_near_the_idle_close_is_not_reused(
+        self, constraint_file, upstream_connects, monkeypatch
+    ):
+        from repro.engine import net
+
+        service = FleetService([worker_command(constraint_file)],
+                               env=fleet_env())
+        with service.start_in_thread(timeout=90) as handle:
+            client = handle.client()
+            assert client.implies("A -> CD") is True
+            del upstream_connects[:]
+            assert client.implies("A -> CD") is True
+            assert upstream_connects == []  # pooled
+            # with a short idle timeout the pooled upstream is past half
+            # of it: the router drops it rather than race the worker
+            monkeypatch.setattr(net, "_READ_TIMEOUT", 0.2)
+            time.sleep(0.13)
+            assert client.implies("A -> CD") is True
+            assert upstream_connects == [service.supervisor.workers[0].address]
+
     def test_idle_client_connection_does_not_delay_stop(
         self, constraint_file
     ):

@@ -547,6 +547,21 @@ class TestReadTimeout:
             assert sock.recv(4096) == b""  # closed, nothing owed
 
 
+    def test_connection_near_the_idle_close_is_not_reused(
+        self, quick_timeout, service, connects
+    ):
+        client = service.client()
+        assert client.health()["status"] == "ok"
+        assert client.health()["status"] == "ok"
+        assert len(connects) == 1
+        # past half the server's idle timeout the server may be closing
+        # the connection, so the client reconnects instead of racing it
+        time.sleep(0.13)
+        assert client.health()["status"] == "ok"
+        assert len(connects) == 2
+        client.close()
+
+
 class TestDeltaNeverReplayed:
     def test_delta_on_a_dropped_connection_is_not_replayed(self, connects):
         """The server reads the /delta and drops the connection without

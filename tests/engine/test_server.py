@@ -14,6 +14,7 @@ from repro.core import ConstraintSet, DifferentialConstraint, GroundSet, decide
 from repro.engine import (
     ConstraintServer,
     EngineConfig,
+    ImplicationCache,
     ShardedEvalContext,
     serve_queries,
 )
@@ -88,6 +89,18 @@ class TestConstraintServer:
         assert stats.computed == 1
         assert stats.cache_hits == 1
         assert stats.batches == 2
+
+    def test_targets_do_not_pin_decider_tables(self, ground, cset):
+        # the server memoizes answers itself, so a target's lattice
+        # table is built for the query and not kept in the decider
+        cache = ImplicationCache()
+
+        async def scenario():
+            async with ConstraintServer(cset, cache=cache) as server:
+                return await server.implies(target(ground, "AD -> C"))
+
+        assert asyncio.run(scenario()) is True
+        assert cache.stats()["constraint_tables"] == len(cset)
 
     def test_lru_bound_evicts(self, ground, cset):
         async def scenario():
