@@ -1,10 +1,9 @@
 """E19 -- planner-auto vs hand-tuned tiers, and plan-decision overhead.
 
-Three workload shapes mirror the engine benchmarks: E5's implication
-queries (one constraint set, many ``decide`` calls), E16's streaming
-transactions (delta-maintained constraint monitoring), and E17's
-scale-out evaluation loop (delta bursts followed by verdict + support
-probes over a loaded instance).  For each shape, every hand-tunable
+Two workload shapes mirror the engine benchmarks: E5's implication
+queries (one constraint set, many ``decide`` calls) and E16's streaming
+transactions (delta-maintained constraint monitoring).  For each shape,
+every hand-tunable
 configuration a user could pin is timed, then ``engine=auto`` (the
 planner's choice for the measured workload on this host) is timed the
 same way.
@@ -41,11 +40,10 @@ from _harness import format_table, report
 
 N_QUERY = 12
 N_STREAM = 12
-N_SCALE = 14
+N_LOADED = 14
 QUERIES = 60
 STREAM_TXS = 250
-SCALE_ROUNDS = 40
-SCALE_SEED_ROWS = 2_000
+LOADED_SEED_ROWS = 2_000
 PLAN_CALLS = 2_000
 FLOOR = 0.9
 
@@ -122,23 +120,6 @@ def _time_stream(ground, constraints, transactions, config):
     return len(transactions) / _best_of(run)
 
 
-def _time_scale(ground, constraints, seed_density, bursts, probes, config):
-    session = StreamSession(
-        ground, constraints, density=dict(seed_density), config=config
-    )
-
-    def run():
-        for burst in bursts:
-            session.apply(burst)
-            session.violated_constraints()
-            for mask in probes:
-                session.value(mask)
-
-    throughput = len(bursts) / _best_of(run)
-    session.close()
-    return throughput
-
-
 class TestPlannerAuto:
     def test_auto_within_floor_of_best_hand_tuned(self, benchmark):
         planner = default_planner()
@@ -150,8 +131,9 @@ class TestPlannerAuto:
             Workload(n=N_QUERY, constraints=6, queries=QUERIES),
             Workload(n=N_STREAM, constraints=4, streaming=True,
                      delta_rate=3.0, density_size=500),
-            Workload(n=N_SCALE, constraints=4, streaming=True,
-                     delta_rate=8.0, density_size=SCALE_SEED_ROWS),
+            # a loaded streaming descriptor: times the planner only
+            Workload(n=N_LOADED, constraints=4, streaming=True,
+                     delta_rate=8.0, density_size=LOADED_SEED_ROWS),
         ]
         t0 = time.perf_counter()
         for _ in range(PLAN_CALLS):
@@ -222,54 +204,6 @@ class TestPlannerAuto:
             lambda: _time_stream(
                 s_ground, s_constraints, transactions,
                 e16_configs[best_stream],
-            ),
-        )
-
-        # --- E17 shape: delta bursts + verdict/probe reads ------------
-        c_ground = GroundSet([f"x{i}" for i in range(N_SCALE)])
-        rng = random.Random(1701)
-        c_constraints = [
-            random_constraint(rng, c_ground, max_members=2, min_members=1)
-            for _ in range(4)
-        ]
-        seed = {}
-        for _ in range(SCALE_SEED_ROWS):
-            mask = rng.randrange(1 << N_SCALE)
-            seed[mask] = seed.get(mask, 0) + 1
-        bursts = _stream_ops(N_SCALE, SCALE_ROUNDS, 1702)
-        probes = [rng.randrange(1 << N_SCALE) for _ in range(4)]
-        e17_configs = {
-            "incremental": EngineConfig(
-                engine="incremental", backend="float"
-            ),
-            "sharded-K2": EngineConfig(
-                engine="sharded", backend="float", shards=2, workers=1
-            ),
-        }
-        e17 = {
-            label: _time_scale(
-                c_ground, c_constraints, seed, bursts, probes, cfg
-            )
-            for label, cfg in e17_configs.items()
-        }
-        best_scale = max(e17, key=e17.get)
-        # the planner's decision for this shape's descriptor is
-        # host-independent: the seed density sits below the fan-out bar,
-        # so auto stays incremental on every host
-        auto_plan = planner.plan(workloads[2])
-        auto_cfg = EngineConfig(engine="auto", backend="float")
-        self._emit(
-            rows, ratios, "E17-scaleout", "rounds/s", e17,
-            _time_scale(
-                c_ground, c_constraints, seed, bursts, probes, auto_cfg
-            ),
-            f"auto->{auto_plan.tier}",
-            lambda: _time_scale(
-                c_ground, c_constraints, seed, bursts, probes, auto_cfg
-            ),
-            lambda: _time_scale(
-                c_ground, c_constraints, seed, bursts, probes,
-                e17_configs[best_scale],
             ),
         )
 

@@ -32,7 +32,6 @@ from repro.engine import (
     EvalRequest,
     ParallelExecutor,
     ShardPlan,
-    ShardedEvalContext,
     recompute_tables,
 )
 from repro.engine.backends import backend_by_name
@@ -224,21 +223,26 @@ class TestShardedScaling:
             benchmark(lambda: ex.evaluate(requests))
 
     def test_merge_exactness_at_scale(self):
-        """|S| = 16 shard merge is exact on the exact backend: merged
-        tables equal a from-scratch recompute, entry for entry."""
+        """|S| = 16 shard merge is exact on the exact backends: per-shard
+        tables routed by the plan sum to a from-scratch recompute of the
+        whole instance, entry for entry."""
         ground, rows, specs, probes = _instance(2_000)
-        ctx = ShardedEvalContext(ground, shards=N_SHARDS, backend="exact")
+        plan = ShardPlan(N_SHARDS)
+        density = {}
         for mask in rows:
-            ctx.apply_delta(mask, 1)
-        backend = backend_by_name("exact")
-        density, support, _ = recompute_tables(
-            N, ctx.density_items(), [], backend
+            density[mask] = density.get(mask, 0) + 1
+        parts = plan.partition_density(density)
+        want_density, want_support, _ = recompute_tables(
+            N, density.items(), [], backend_by_name("exact")
         )
-        assert list(ctx.merged_density_table()) == list(density)
-        assert list(ctx.merged_support_table()) == list(support)
         # the vectorized exact backend merges to the same entries
-        ctx_vec = ShardedEvalContext(ground, shards=N_SHARDS, backend="exact-vec")
-        for mask in rows:
-            ctx_vec.apply_delta(mask, 1)
-        assert list(ctx_vec.merged_density_table()) == list(density)
-        assert list(ctx_vec.merged_support_table()) == list(support)
+        for name in ("exact", "exact-vec"):
+            backend = backend_by_name(name)
+            shard_tables = [
+                recompute_tables(N, part.items(), [], backend)
+                for part in parts
+            ]
+            merged_density = backend.sum_tables([t[0] for t in shard_tables])
+            merged_support = backend.sum_tables([t[1] for t in shard_tables])
+            assert list(merged_density) == list(want_density)
+            assert list(merged_support) == list(want_support)

@@ -9,12 +9,10 @@ reason about constraint files without writing Python:
 
 ``plan``
     Show the evaluation plan the engine planner resolves for a
-    workload -- tier, backend, shards, workers -- and, with
-    ``--explain``, the cost-model reasoning line by line.  Every
-    subcommand shares the same ``--engine
-    auto|scalar|batched|incremental|sharded`` selection, and
-    ``--backend``/``--shards``/``--workers`` pin those knobs of the
-    resolved plan.
+    workload -- tier and backend -- and, with ``--explain``, the
+    cost-model reasoning line by line.  Every subcommand shares the
+    same ``--engine auto|scalar|batched|incremental`` selection, and
+    ``--backend`` pins the numeric backend of the resolved plan.
 
 ``derive``
     Print a checked derivation of the target (Figure 1/2 or
@@ -35,15 +33,14 @@ reason about constraint files without writing Python:
     Replay a transaction log of row inserts/deletes/updates against a
     constraint file, reporting per transaction which constraints were
     newly violated or restored (the incremental engine: per-row delta
-    maintenance instead of full recomputation).  ``--shards K`` routes
-    the instance through the horizontally sharded context.
+    maintenance instead of full recomputation).
 
 ``serve``
     Answer a batch of ``implies``/``check`` queries through the
     microbatching constraint server: concurrent duplicates coalesce
     into one computation and answers are memoized in a fingerprint
-    -keyed LRU.  ``--baskets`` loads a (shardable) live instance for
-    ``check`` queries.  With ``--port`` the command becomes a *long
+    -keyed LRU.  ``--baskets`` loads a live instance for ``check``
+    queries.  With ``--port`` the command becomes a *long
     -running network service* speaking HTTP/JSON (check / implies /
     delta / probe endpoints; see :mod:`repro.engine.net`): it prints
     ``# listening on HOST:PORT`` and serves until SIGTERM, draining
@@ -139,33 +136,14 @@ def engine_config_from_args(args) -> EngineConfig:
     group -- the single place CLI engine flags become configuration.
 
     ``--engine`` requests a tier (default ``auto``: the planner
-    chooses); ``--backend``/``--shards``/``--workers`` pin those knobs,
-    and ``--shards`` above 1 with ``--engine auto`` selects the sharded
-    tier.  Unpinned knobs stay ``None`` for the planner.  Durability
-    flags (``--data-dir``/``--snapshot-every``/``--fsync``) ride along
-    when the subcommand has them.
+    chooses) and ``--backend`` pins the numeric backend; an unpinned
+    backend stays ``None`` for the planner.  Durability flags
+    (``--data-dir``/``--snapshot-every``/``--fsync``) ride along when
+    the subcommand has them.
     """
-    backend = getattr(args, "backend", None)
-    shards = getattr(args, "shards", None)
-    workers = getattr(args, "workers", None)
-    if shards is not None and shards < 1:
-        raise ValueError(f"--shards must be >= 1, got {shards}")
-    if workers is not None and workers < 1:
-        raise ValueError(f"--workers must be >= 1, got {workers}")
-    engine = getattr(args, "engine", "auto")
-    if engine == "auto" and shards is not None and shards > 1:
-        # a pinned shard count implies the sharded tier
-        engine = "sharded"
-    if shards is not None and shards > 1 and workers is None:
-        # historic CLI default: CPU count capped by the shard count
-        from repro.engine.parallel import default_workers
-
-        workers = default_workers(shards)
     return EngineConfig(
-        engine=engine,
-        backend=backend,
-        shards=shards,
-        workers=workers,
+        engine=getattr(args, "engine", "auto"),
+        backend=getattr(args, "backend", None),
         durable=getattr(args, "data_dir", None),
         snapshot_every=getattr(args, "snapshot_every", None),
         fsync=getattr(args, "fsync", "always"),
@@ -370,19 +348,6 @@ def _cmd_stream(args, out: TextIO) -> int:
         for c in rep.restored:
             print(f"  restored: {c!r}", file=out)
     final = session.violated_constraints()
-    if session.plan.shards > 1:
-        # cross-check the incremental statuses through the per-shard
-        # fan-out (runs on the worker pool when workers > 1)
-        fanout = session.context.evaluate()
-        consistent = fanout.violated == tuple(
-            session.context.is_violated(c) for c in session.context.constraints
-        )
-        print(
-            f"# fan-out check over {session.plan.shards} shards / "
-            f"{session.plan.effective_workers} worker(s): "
-            f"{'consistent' if consistent else 'INCONSISTENT'}",
-            file=out,
-        )
     print(
         f"final: {len(final)}/{len(cset)} constraints violated "
         f"after {len(reports)} transactions",
@@ -431,25 +396,21 @@ def _cmd_serve(args, out: TextIO) -> int:
         )
     queries = parse_query_file(ground, _read(args.queries))
     config = engine_config_from_args(args)
-    if config.shards is None and config.engine == "auto":
-        # the batch server historically ran a single inline shard
-        # unless the user asked for more; an explicit --engine sharded
-        # lets the planner resolve the shard/worker counts
-        config = config.replace(shards=1)
     instance = None
     if args.baskets:
         basket_ground, db = parse_basket_file(_read(args.baskets))
         ground.check_same(basket_ground)
-        instance = db.sharded_context(config=config)
-    if instance is None and any(kind == "check" for kind, _ in queries):
+        # the basket counts are an in-memory live instance: always the
+        # incremental tier, whatever --engine asked of the queries
+        session = db.stream_session(
+            config=config.replace(engine="incremental", durable=None)
+        )
+        instance, plan = session.context, session.plan
+    elif any(kind == "check" for kind, _ in queries):
         raise ValueError(
             "'check' queries need a live instance: no live instance was "
             "loaded (pass --baskets)"
         )
-    from repro.engine.plan import plan_of_context
-
-    if instance is not None:
-        print(_engine_stamp_line(plan_of_context(instance, config)), file=out)
     else:
         plan = default_planner().plan(
             Workload(
@@ -457,7 +418,7 @@ def _cmd_serve(args, out: TextIO) -> int:
             ),
             config,
         )
-        print(_engine_stamp_line(plan), file=out)
+    print(_engine_stamp_line(plan), file=out)
     answers, stats = serve_queries(
         cset,
         queries,
@@ -903,37 +864,25 @@ def _add_durability_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     """The shared engine-selection group (one definition, every
-    subcommand): ``--engine`` plus the backend/shards/workers pins."""
+    subcommand): ``--engine`` plus the backend pin."""
     grp = p.add_argument_group(
         "engine",
         "evaluation-engine selection: request a tier with --engine and "
-        "let the planner resolve backend/shards/workers ('repro plan "
-        "--explain' shows the cost model)",
+        "let the planner resolve the backend ('repro plan --explain' "
+        "shows the cost model)",
     )
     grp.add_argument(
         "--engine",
         default="auto",
         choices=("auto",) + TIERS,
         help="evaluation tier (default: auto -- the planner chooses "
-        "from the workload shape and host CPUs)",
+        "from the workload shape)",
     )
     grp.add_argument(
         "--backend",
         default=None,
         choices=["exact", "exact-vec", "float"],
         help="pin the numeric backend",
-    )
-    grp.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="pin the horizontal shard count",
-    )
-    grp.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="pin the worker-process count",
     )
 
 

@@ -18,14 +18,15 @@ replaces three scalar hot paths with table-at-a-time computation:
 * :mod:`repro.engine.context` -- :class:`EvalContext`, the single
   handle (backend + cache) threaded through the CLI and library;
 * :mod:`repro.engine.calibrate` -- the host calibrator: affinity-aware
-  :func:`effective_cpus`, micro-benchmarked butterfly/process-pool
-  costs persisted as a versioned per-host :class:`HostProfile`, and
-  the measured planner thresholds derived from them (opt-in via
+  :func:`effective_cpus`, micro-benchmarked butterfly costs persisted
+  as a versioned per-host :class:`HostProfile`, and the measured
+  planner threshold derived from them (opt-in via
   ``REPRO_CALIBRATION``; disabled keeps plans deterministic);
 * :mod:`repro.engine.plan` -- the unified planner: :class:`EngineConfig`
-  (one configuration object: tier request, backend, shards, workers,
-  durability, cache budgets), :class:`Planner` (the explicit cost model
-  mapping workload shape and host CPUs to a :class:`Plan`), and
+  (one configuration object: tier request, backend, durability, cache
+  budgets), :class:`Planner` (the explicit cost model mapping workload
+  shape to a :class:`Plan` on the scalar, batched or incremental
+  tier), and
   :func:`build_context`, the single factory every consumer constructs
   evaluation contexts through;
 * :mod:`repro.engine.incremental` -- :class:`IncrementalEvalContext`,
@@ -35,13 +36,13 @@ replaces three scalar hot paths with table-at-a-time computation:
 * :mod:`repro.engine.stream` -- :class:`StreamSession`, the
   transactional surface (batch of deltas -> newly violated / restored
   constraints) and the transaction-log format behind ``repro stream``;
-* :mod:`repro.engine.shard` -- :class:`ShardedEvalContext`, horizontal
-  sharding by density mask: per-shard density/support/differential
-  tables with disjoint supports, merged exactly by elementwise sum,
-  with a dirty-shard fast path over the incremental engine;
+* :mod:`repro.engine.shard` -- :class:`ShardPlan`, a deterministic
+  routing of density masks to shards (per-shard densities have
+  disjoint supports and merge exactly by elementwise sum);
 * :mod:`repro.engine.parallel` -- :class:`ParallelExecutor`, persistent
   worker processes pinned per shard (version-keyed table reuse) with a
-  single-process inline fallback;
+  single-process inline fallback; the E17 benchmark measures it, and no
+  live tier runs on it;
 * :mod:`repro.engine.server` -- :class:`ConstraintServer`, the async
   microbatching request queue behind ``repro serve``: coalesces
   concurrent implication/check queries and memoizes answers in a
@@ -121,13 +122,7 @@ from repro.engine.stream import (
     StreamSession,
     parse_transaction_log,
 )
-from repro.engine.shard import (
-    DEFAULT_JOURNAL_BOUND,
-    ShardPlan,
-    ShardedEvalContext,
-    ShardedEvaluation,
-    sum_tables,
-)
+from repro.engine.shard import ShardPlan
 from repro.engine.parallel import (
     EvalRequest,
     ParallelExecutor,
@@ -221,11 +216,7 @@ __all__ = [
     "StreamReport",
     "StreamSession",
     "parse_transaction_log",
-    "DEFAULT_JOURNAL_BOUND",
     "ShardPlan",
-    "ShardedEvalContext",
-    "ShardedEvaluation",
-    "sum_tables",
     "EvalRequest",
     "ParallelExecutor",
     "ShardAnswer",

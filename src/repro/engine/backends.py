@@ -30,9 +30,9 @@ and :mod:`repro.core.lattice`.  This module centralizes that split:
 
 All expose the same small interface (allocate, copy, scatter, the four
 zeta/Moebius butterflies, masked zeroing/comparisons, the per-delta
-subset add and the shard merge-by-sum), so the batched evaluation
+subset add and the elementwise merge-by-sum), so the batched evaluation
 engine (:mod:`repro.engine.batch`), the incremental maintenance loop
-and the shard merge are each written once.
+and the per-shard merge are each written once.
 
 This module deliberately imports nothing from :mod:`repro.core`; it is
 the bottom layer of the engine and safe to import from anywhere.
@@ -157,7 +157,7 @@ class VecTable:
     numbers (so ``list(table)`` equals the :class:`ExactBackend` list
     bit for bit), writes that do not fit int64 promote the storage to
     an object-dtype array in place.  Pickles across process boundaries
-    (the sharded executor ships these between workers).
+    (the parallel executor ships these between workers).
     """
 
     __slots__ = ("arr",)
@@ -285,7 +285,8 @@ class Backend:
             values[sub] = values[sub] + delta
 
     def sum_tables(self, tables: Sequence[Table]) -> Table:
-        """Elementwise sum of same-length tables -- the shard merge."""
+        """Elementwise sum of same-length tables -- the merge of
+        per-shard tables routed by a :class:`~repro.engine.shard.ShardPlan`."""
         tables = list(tables)
         if not tables:
             raise ValueError("sum_tables needs at least one table")

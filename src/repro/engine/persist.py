@@ -44,8 +44,7 @@ needs:
 The session-facing helpers (:func:`encode_transaction`,
 :func:`snapshot_state`, :func:`verify_recovered`) serialize a batch of
 density deltas and capture/assert the consistency counters -- density
-fingerprint, support size, violated-constraint count, shard sizes --
-that make "replaying the log reproduces the live tables exactly" an
+fingerprint, support size, violated-constraint count -- that make "replaying the log reproduces the live tables exactly" an
 *asserted* recovery invariant rather than a hope.
 
 Like the rest of the engine this module imports nothing from
@@ -583,10 +582,10 @@ def snapshot_state(context, tx: int) -> dict:
 
     ``context`` is duck-typed: anything with the incremental engine's
     set-function protocol (``density_items`` / ``support_size`` /
-    ``violated_constraints``; ``shard_sizes`` when sharded).
+    ``violated_constraints``).
     """
     items = [(mask, value) for mask, value in context.density_items()]
-    payload = {
+    return {
         "format": 1,
         "tx": tx,
         "backend": context.backend.name,
@@ -597,11 +596,6 @@ def snapshot_state(context, tx: int) -> dict:
         "tracked": len(context.constraints),
         "violated": len(context.violated_constraints()),
     }
-    shard_sizes = getattr(context, "shard_sizes", None)
-    if shard_sizes is not None:
-        payload["shards"] = context.shards
-        payload["shard_sizes"] = list(shard_sizes())
-    return payload
 
 
 def decode_density(snapshot: dict) -> Dict[int, Number]:
@@ -613,9 +607,11 @@ def verify_recovered(context, snapshot: dict) -> None:
     """Assert the seeded context reproduces the snapshot's counters.
 
     This is the recovery invariant made executable: fingerprint of the
-    density items, support size, violated-count (when the same
-    constraint theory is tracked) and shard sizes (when the same shard
-    count is used) must all match, else recovery *fails loudly*.
+    density items, support size and violated-count (when the same
+    constraint theory is tracked) must all match, else recovery *fails
+    loudly*.  Snapshots written by older sharded sessions also carry
+    ``shards``/``shard_sizes``; those describe a row routing, not the
+    state, and are ignored.
     """
     fingerprint = density_fingerprint(context.density_items())
     if fingerprint != snapshot["fingerprint"]:
@@ -636,14 +632,4 @@ def verify_recovered(context, snapshot: dict) -> None:
             f"recovered violation count "
             f"{len(context.violated_constraints())} != snapshot count "
             f"{snapshot['violated']} for the same tracked theory"
-        )
-    shard_sizes = getattr(context, "shard_sizes", None)
-    if (
-        shard_sizes is not None
-        and snapshot.get("shards") == getattr(context, "shards", None)
-        and list(shard_sizes()) != snapshot["shard_sizes"]
-    ):
-        raise CorruptSnapshotError(
-            f"recovered shard sizes {list(shard_sizes())} != snapshot "
-            f"shard sizes {snapshot['shard_sizes']}"
         )

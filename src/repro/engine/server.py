@@ -92,9 +92,9 @@ class ConstraintServer:
         against (anything the batched decider accepts).
     instance:
         Optional live instance for ``check`` queries -- an
-        :class:`~repro.engine.incremental.IncrementalEvalContext`
-        (sharded or not) or any object with the set-function density
-        protocol.  Version-keyed caching needs ``zero_version``.
+        :class:`~repro.engine.incremental.IncrementalEvalContext` or
+        any object with the set-function density protocol.
+        Version-keyed caching needs ``zero_version``.
     max_batch / max_delay:
         Microbatch bounds: a batch closes at ``max_batch`` requests,
         when a loop turn brings no new arrival, or at the latest
@@ -138,21 +138,6 @@ class ConstraintServer:
         self._queue: Optional[asyncio.Queue] = None
         self._dispatcher: Optional[asyncio.Task] = None
         self.stats = ServerStats()
-
-    @property
-    def instance(self):
-        """The live instance ``check`` queries run against."""
-        return self._instance
-
-    def set_instance(self, instance) -> None:
-        """Rebind the live instance (the tier-promotion handoff).
-
-        Memoized ``check`` answers stay coherent because they are keyed
-        by the instance's ``zero_version`` and a promotion hands that
-        counter over exactly; computation is synchronous on the event
-        loop, so a rebind can never race a batch mid-flight.
-        """
-        self._instance = instance
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -301,12 +286,6 @@ class ConstraintServer:
             # decision procedure (method="auto" picks the SAT route)
             return self._cset.implies(payload, method="auto")
         if kind == "check":
-            fanout = getattr(self._instance, "evaluate", None)
-            if fanout is not None:
-                # sharded instances answer through the per-shard fan-out
-                # (any-over-shards is exact under mask routing), which
-                # runs on the instance's attached executor when it has one
-                return not fanout(constraints=[payload]).violated[0]
             return payload.satisfied_by(self._instance)
         raise ValueError(f"unknown work kind {kind!r}")
 

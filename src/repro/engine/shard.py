@@ -1,79 +1,31 @@
-"""Horizontal sharding: partitioned density tables merged by summation.
+"""Mask routing: a deterministic split of the density space into shards.
 
 The paper's density and support functions are *additive over disjoint
 partitions of the instance rows* (Section 6.1: a basket database is a
 list; splitting the list splits ``d^B`` into a sum), and the masked
 zeta/differential transforms of the engine are linear in the density
 (Proposition 2.9) -- so per-shard tables merge **exactly** by
-elementwise sum::
+elementwise sum (:meth:`~repro.engine.backends.Backend.sum_tables`)::
 
     d_f = sum_k d_k      f = sum_k f_k      D_f^Y = sum_k D_{f_k}^Y
 
-This module shards by *density mask*: a :class:`ShardPlan` routes every
-subset mask ``U`` to one owning shard, so all rows with itemset ``U``
-(inserts and the deletes that cancel them) land on the same shard.
-Mask-routing makes the decomposition degenerate in a useful way -- the
-per-shard densities have **disjoint supports**, hence
-
-* merging never cancels across shards: ``d_f(U)`` is exactly the owning
-  shard's entry, and ``Z(f) = intersect_k Z(f_k)``;
-* a constraint is violated globally iff *some* shard has nonzero
-  density inside ``L(X, Y)`` -- verdicts reduce by ``any`` over shards;
-* support queries reduce by scalar sum: ``f(X) = sum_k f_k(X)``.
-
-:class:`ShardedEvalContext` extends
-:class:`~repro.engine.incremental.IncrementalEvalContext`: the merged
-tables, constraint monitoring, zero set and version counters are the
-inherited delta-maintained state, while the context additionally owns
-the per-shard sparse densities with per-shard *version* counters.  A
-delta therefore dirties exactly its owning shard (the dirty-shard fast
-path); the :class:`~repro.engine.parallel.ParallelExecutor` resyncs and
-recomputes only dirty shards, reusing worker-side tables for the rest.
-
-Like the rest of the engine this module imports nothing from
-:mod:`repro.core`; ground sets, constraints and families are duck-typed.
+A :class:`ShardPlan` routes every subset mask ``U`` to one owning
+shard, so all rows with itemset ``U`` (inserts and the deletes that
+cancel them) land on the same shard and the per-shard densities have
+**disjoint supports**: a constraint is violated globally iff *some*
+shard has nonzero density inside ``L(X, Y)``, and support queries
+reduce by scalar sum.  The E17 benchmark uses the plan to route rows to
+the :class:`~repro.engine.parallel.ParallelExecutor`; live instances run
+on :class:`~repro.engine.incremental.IncrementalEvalContext` alone.
 """
 
 from __future__ import annotations
 
-import itertools
-import weakref
-from collections import deque
-from typing import (
-    Callable,
-    Deque,
-    Dict,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
-from repro.engine import batch
-from repro.engine.backends import Backend, Table, _fits_int64
-from repro.engine.decider import ImplicationCache
-from repro.engine.incremental import (
-    DEFAULT_TOLERANCE,
-    IncrementalEvalContext,
-    Number,
-)
+from repro.engine.incremental import Number
 
-__all__ = [
-    "DEFAULT_JOURNAL_BOUND",
-    "ShardPlan",
-    "ShardedEvalContext",
-    "ShardedEvaluation",
-    "sum_tables",
-]
-
-#: Per-shard delta-journal capacity when neither the caller nor the
-#: planner picks one.  A shard whose unsynced gap exceeds its journal
-#: falls back to a full payload reship, so the bound trades parent-side
-#: memory (records kept) against worst-case resync cost.
-DEFAULT_JOURNAL_BOUND = 1024
+__all__ = ["ShardPlan"]
 
 #: Knuth's multiplicative constant -- spreads consecutive masks across
 #: shards far more evenly than ``mask % shards`` on clustered workloads.
@@ -146,604 +98,3 @@ class ShardPlan:
     def __repr__(self) -> str:
         kind = "default" if self._route is None else "custom"
         return f"ShardPlan(shards={self._shards}, route={kind})"
-
-
-def sum_tables(tables: Sequence[Table], backend: Backend) -> Table:
-    """Elementwise sum of same-length tables -- the shard merge.
-
-    Delegates to :meth:`~repro.engine.backends.Backend.sum_tables`:
-    vectorized left-to-right on the float backend (deterministic
-    addition order, so integer-valued float tables merge bit-exactly),
-    overflow-checked int64 adds with object-dtype promotion on the
-    vectorized exact backend, elementwise python sums on the list-exact
-    backend.
-    """
-    return backend.sum_tables(tables)
-
-
-class ShardedEvaluation:
-    """The merged result of one fan-out over the shards.
-
-    ``violated[i]`` answers the i-th requested constraint (``any`` over
-    shards -- exact under mask routing); ``support[mask]`` the requested
-    support probes (scalar sums); the optional tables are the vectorized
-    sums of the per-shard tables.  ``answers`` keeps the raw per-shard
-    :class:`~repro.engine.parallel.ShardAnswer` objects.
-    """
-
-    __slots__ = (
-        "violated",
-        "support",
-        "density_table",
-        "support_table",
-        "differential_tables",
-        "answers",
-    )
-
-    def __init__(self, violated, support, density_table, support_table,
-                 differential_tables, answers):
-        self.violated = violated
-        self.support = support
-        self.density_table = density_table
-        self.support_table = support_table
-        self.differential_tables = differential_tables
-        self.answers = answers
-
-    def __repr__(self) -> str:
-        return (
-            f"ShardedEvaluation(violated={sum(map(bool, self.violated))}"
-            f"/{len(self.violated)}, probes={len(self.support)}, "
-            f"shards={len(self.answers)})"
-        )
-
-
-class ShardedEvalContext(IncrementalEvalContext):
-    """An incremental context whose instance rows are horizontally sharded.
-
-    The *merged* state -- density/support/differential tables, tracked
-    constraints, zero set, theory/zero versions -- is the inherited
-    :class:`IncrementalEvalContext` machinery, maintained in ``O(2^n)``
-    per delta as before.  On top, the context partitions the density by
-    a :class:`ShardPlan` and maintains per-shard sparse densities with
-    version counters: a delta touches exactly one shard, so downstream
-    consumers (the parallel executor, re-merge caches) recompute only
-    the dirty shard.
-
-    Parameters mirror :class:`IncrementalEvalContext` plus:
-
-    shards:
-        Shard count ``K`` (ignored when an explicit ``plan`` is given).
-    plan:
-        A :class:`ShardPlan` (for custom routing).
-    executor:
-        An optional :class:`~repro.engine.parallel.ParallelExecutor`
-        used by :meth:`evaluate`; ``workers`` builds one on demand.
-        ``K = 1`` or ``workers = 1`` stays single-process inline.
-    sync:
-        Executor sync strategy: ``"delta"`` (default) ships only the
-        journalled ``(mask, delta)`` records since each shard's last
-        synced version; ``"reship"`` always sends the full sparse
-        payload (the pre-journal behaviour, kept for benchmarking and
-        as a planner escape hatch).
-    journal_bound:
-        Per-shard delta-journal capacity (default
-        :data:`DEFAULT_JOURNAL_BOUND`); a dirty gap beyond it forces a
-        full reship for that shard.
-    shm_tables:
-        ``True``/``False`` forces shared-memory table returns on/off;
-        ``None`` (default) lets :meth:`evaluate` decide -- shared
-        memory when the executor runs real worker processes and the
-        backend stores ndarray tables, pickled returns otherwise.
-    """
-
-    __slots__ = (
-        "_plan",
-        "_shard_density",
-        "_shard_versions",
-        "_synced_versions",
-        "_synced_epoch",
-        "_executor",
-        "_owns_executor",
-        "_scope",
-        "_executor_finalizer",
-        "_sync_strategy",
-        "_journal_bound",
-        "_shard_journal",
-        "_journal_unsafe",
-        "_ever_synced",
-        "_shm_tables",
-        "_deltas_shipped",
-        "_full_resyncs",
-        "_shm_bytes",
-    )
-
-    _scope_counter = itertools.count()
-
-    def __init__(
-        self,
-        ground,
-        density: Optional[Mapping[int, Number]] = None,
-        constraints: Iterable = (),
-        shards: int = 1,
-        plan: Optional[ShardPlan] = None,
-        backend: Union[str, Backend] = "exact",
-        tol: float = DEFAULT_TOLERANCE,
-        cache: Optional[ImplicationCache] = None,
-        private_cache: bool = False,
-        executor=None,
-        workers: Optional[int] = None,
-        sync: str = "delta",
-        journal_bound: Optional[int] = None,
-        shm_tables: Optional[bool] = None,
-    ):
-        if plan is None:
-            plan = ShardPlan(shards)
-        if sync not in ("delta", "reship"):
-            raise ValueError(
-                f"sync strategy must be 'delta' or 'reship', got {sync!r}"
-            )
-        if journal_bound is None:
-            journal_bound = DEFAULT_JOURNAL_BOUND
-        if journal_bound < 1:
-            raise ValueError(
-                f"journal bound must be >= 1, got {journal_bound}"
-            )
-        # shard state must exist before super().__init__ seeds the
-        # density (seeding funnels through our apply_delta override)
-        self._plan = plan
-        self._shard_density: List[Dict[int, Number]] = [
-            {} for _ in range(plan.shards)
-        ]
-        self._shard_versions = [0] * plan.shards
-        self._synced_versions: List[Optional[int]] = [None] * plan.shards
-        self._synced_epoch: Optional[int] = None
-        self._sync_strategy = sync
-        self._journal_bound = journal_bound
-        self._shard_journal: List[Deque[Tuple[int, Number]]] = [
-            deque(maxlen=journal_bound) for _ in range(plan.shards)
-        ]
-        self._journal_unsafe = [False] * plan.shards
-        self._ever_synced = [False] * plan.shards
-        self._shm_tables = shm_tables
-        self._deltas_shipped = [0] * plan.shards
-        self._full_resyncs = [0] * plan.shards
-        self._shm_bytes = [0] * plan.shards
-        # contexts may share one executor: the scope keeps their shard
-        # ids from colliding in the workers' state
-        self._scope = f"ctx{next(self._scope_counter)}"
-        self._owns_executor = False
-        self._executor_finalizer = None
-        if executor is None and workers is not None and workers > 1:
-            from repro.engine.parallel import ParallelExecutor
-
-            executor = ParallelExecutor(workers=workers)
-            self._adopt_executor(executor)
-        self._executor = executor
-        super().__init__(
-            ground,
-            density=density,
-            constraints=constraints,
-            backend=backend,
-            tol=tol,
-            cache=cache,
-            private_cache=private_cache,
-        )
-
-    # ------------------------------------------------------------------
-    # shard state
-    # ------------------------------------------------------------------
-    @property
-    def plan(self) -> ShardPlan:
-        """The routing plan (shard count + mask assignment)."""
-        return self._plan
-
-    @property
-    def shards(self) -> int:
-        """How many shards this context fans out over."""
-        return self._plan.shards
-
-    @property
-    def executor(self):
-        """The :class:`ParallelExecutor` evaluations fan out through."""
-        return self._executor
-
-    @property
-    def shard_versions(self) -> Tuple[int, ...]:
-        """Per-shard version counters: bumped on every owned delta."""
-        return tuple(self._shard_versions)
-
-    def shard_sizes(self) -> Tuple[int, ...]:
-        """Nonzero density entries per shard (empty shards report 0)."""
-        return tuple(len(d) for d in self._shard_density)
-
-    def shard_density_items(self, k: int) -> List[Tuple[int, Number]]:
-        """The k-th shard's sparse density, sorted by mask."""
-        return sorted(self._shard_density[k].items())
-
-    def shard_density_table(self, k: int) -> Table:
-        """The k-th shard's dense density table (a fresh table)."""
-        return self.backend.scatter(
-            1 << self._n, self._shard_density[k].items()
-        )
-
-    def shard_support_table(self, k: int) -> Table:
-        """``f_k``: the k-th shard's support table (a fresh table)."""
-        table = self.shard_density_table(k)
-        self.backend.superset_zeta_inplace(table)
-        return table
-
-    def shard_differential_table(self, k: int, family) -> Table:
-        """``D_{f_k}^Y``: the k-th shard's differential table."""
-        table = self.shard_density_table(k)
-        return batch.differential_table(
-            table, tuple(family.members), self.backend
-        )
-
-    # ------------------------------------------------------------------
-    # merged tables (the vectorized-summation oracle)
-    # ------------------------------------------------------------------
-    def merged_density_table(self) -> Table:
-        """Sum of the per-shard density tables.
-
-        Exactly equals the live :meth:`density_table` (property-tested):
-        mask routing gives the shards disjoint supports, so the sum
-        never mixes entries.
-        """
-        return sum_tables(
-            [self.shard_density_table(k) for k in range(self.shards)],
-            self.backend,
-        )
-
-    def merged_support_table(self) -> Table:
-        """Sum of the per-shard support tables (equals ``f``'s table)."""
-        return sum_tables(
-            [self.shard_support_table(k) for k in range(self.shards)],
-            self.backend,
-        )
-
-    def merged_differential_table(self, family) -> Table:
-        """Sum of the per-shard differentials (equals ``D_f^Y``)."""
-        return sum_tables(
-            [
-                self.shard_differential_table(k, family)
-                for k in range(self.shards)
-            ],
-            self.backend,
-        )
-
-    # ------------------------------------------------------------------
-    # deltas: route to the owning shard
-    # ------------------------------------------------------------------
-    def apply_delta(self, mask: int, delta: Number) -> List[Tuple[object, bool]]:
-        """Apply one density delta, dirtying only the owning shard.
-
-        The record also lands in the shard's delta journal, which is
-        what :meth:`sync_executor` ships instead of the full payload.
-        A delta the vectorized exact backend cannot hold in int64 (big
-        ints, Fractions) marks the shard journal-unsafe: the worker's
-        cached table would promote to object dtype mid-apply, so the
-        next sync reships the payload wholesale instead.
-        """
-        flips = super().apply_delta(mask, delta)
-        if delta != 0:
-            k = self._plan.shard_of(mask)
-            part = self._shard_density[k]
-            value = part.get(mask, 0) + delta
-            if value == 0:
-                part.pop(mask, None)
-            else:
-                part[mask] = value
-            self._shard_versions[k] += 1
-            self._shard_journal[k].append((mask, delta))
-            if (
-                self.backend.exact
-                and self.backend.vectorized
-                and not _fits_int64(delta)
-            ):
-                self._journal_unsafe[k] = True
-        return flips
-
-    # ------------------------------------------------------------------
-    # parallel fan-out
-    # ------------------------------------------------------------------
-    def _adopt_executor(self, executor) -> None:
-        """Take ownership: the executor dies with this context."""
-        self._owns_executor = True
-        # backstop for contexts that are dropped without close(): the
-        # finalizer holds the executor (not the context), so worker
-        # pools are reclaimed when the context is garbage-collected
-        self._executor_finalizer = weakref.finalize(
-            self, _shutdown_executor, executor
-        )
-
-    def close(self) -> None:
-        """Shut down an executor this context created (a shared,
-        caller-provided executor is left running)."""
-        if self._owns_executor and self._executor is not None:
-            self._executor.shutdown()
-        if self._executor_finalizer is not None:
-            self._executor_finalizer.detach()
-
-    def __enter__(self) -> "ShardedEvalContext":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def _require_executor(self):
-        if self._executor is None:
-            from repro.engine.parallel import ParallelExecutor
-
-            executor = ParallelExecutor(workers=1)
-            self._adopt_executor(executor)
-            self._executor = executor
-        return self._executor
-
-    def sync_executor(self) -> Tuple[int, ...]:
-        """Push dirty shards' state to their workers.
-
-        Only shards whose version moved since the last sync are touched
-        (the dirty-shard fast path); returns the synced shard ids.
-        Under the ``"delta"`` strategy a dirty shard ships just the
-        journalled ``(mask, delta)`` records since its last synced
-        version -- O(gap) on the wire instead of O(nnz) -- and the
-        worker maintains its cached tables in place.  The full payload
-        reship remains the fallback whenever the delta path cannot be
-        trusted:
-
-        * the shard was never synced, or the executor epoch moved
-          (``clear()``, a worker-crash respawn) -- the worker has no
-          base state;
-        * the dirty gap exceeds the journal bound -- the records are
-          gone;
-        * the journal holds a delta the vectorized exact backend cannot
-          apply in int64 (object-dtype promotion fallback);
-        * the worker itself reports it no longer holds the base version
-          (evicted payload, respawned pool).
-        """
-        executor = self._require_executor()
-        epoch = getattr(executor, "epoch", None)
-        if epoch != self._synced_epoch:
-            self._synced_versions = [None] * self.shards
-            self._synced_epoch = epoch
-        dirty = [
-            k
-            for k in range(self.shards)
-            if self._synced_versions[k] != self._shard_versions[k]
-        ]
-        if not dirty:
-            return ()
-        delta_updates: List[Tuple[int, int, int, List[Tuple[int, Number]]]] = []
-        full_loads: List[int] = []
-        for k in dirty:
-            base = self._synced_versions[k]
-            cur = self._shard_versions[k]
-            journal = self._shard_journal[k]
-            gap = None if base is None else cur - base
-            if (
-                self._sync_strategy == "delta"
-                and gap is not None
-                and 0 < gap <= len(journal)
-                and not self._journal_unsafe[k]
-            ):
-                records = list(journal)[-gap:]
-                delta_updates.append((k, base, cur, records))
-            else:
-                full_loads.append(k)
-        if delta_updates:
-            applied = executor.apply_deltas_many(
-                delta_updates, self.backend.name, scope=self._scope
-            )
-            for (k, _base, _cur, records), ok in zip(delta_updates, applied):
-                if ok:
-                    self._deltas_shipped[k] += len(records)
-                else:
-                    full_loads.append(k)
-        if full_loads:
-            executor.load_density_many(
-                [
-                    (k, self._shard_versions[k], self.shard_density_items(k))
-                    for k in full_loads
-                ],
-                scope=self._scope,
-            )
-            for k in full_loads:
-                if self._ever_synced[k]:
-                    self._full_resyncs[k] += 1
-                self._journal_unsafe[k] = False
-        for k in dirty:
-            self._synced_versions[k] = self._shard_versions[k]
-            self._ever_synced[k] = True
-        return tuple(dirty)
-
-    def transport_stats(self) -> Dict[str, object]:
-        """Cumulative transport counters (surfaced by ``/stats``).
-
-        ``deltas_shipped`` counts journal records applied worker-side,
-        ``full_resyncs`` counts payload reships *after* a shard's first
-        load (the first load is the unavoidable baseline, not a
-        fallback), ``shm_bytes`` counts table bytes read back through
-        shared-memory segments instead of pickles.
-        """
-        per_shard = [
-            {
-                "shard": k,
-                "deltas_shipped": self._deltas_shipped[k],
-                "full_resyncs": self._full_resyncs[k],
-                "shm_bytes": self._shm_bytes[k],
-            }
-            for k in range(self.shards)
-        ]
-        return {
-            "sync": self._sync_strategy,
-            "journal_bound": self._journal_bound,
-            "shm_tables": self._shm_tables,
-            "deltas_shipped": sum(self._deltas_shipped),
-            "full_resyncs": sum(self._full_resyncs),
-            "shm_bytes": sum(self._shm_bytes),
-            "per_shard": per_shard,
-        }
-
-    def evaluate(
-        self,
-        constraints: Optional[Sequence] = None,
-        probes: Sequence[int] = (),
-        families: Sequence = (),
-        return_tables: bool = False,
-    ) -> ShardedEvaluation:
-        """Fan one evaluation out over the shards and merge exactly.
-
-        ``constraints`` (default: the tracked ones) are answered as
-        violated-iff-some-shard-hits; ``probes`` are support masks
-        answered by scalar sum; ``families`` requests per-shard
-        differential tables, merged by vectorized sum (implies
-        ``return_tables`` for those).  Runs on the attached executor --
-        worker processes hold per-shard tables keyed by shard version,
-        so clean shards answer from cache.
-        """
-        from repro.engine.parallel import EvalRequest
-
-        if constraints is None:
-            constraints = self.constraints
-        constraints = list(constraints)
-        specs = tuple(
-            (c.lhs, tuple(c.family.members)) for c in constraints
-        )
-        probe_masks = tuple(
-            self._ground.parse(p) if not isinstance(p, int) else p
-            for p in probes
-        )
-        for mask in probe_masks:
-            self._check_mask(mask)
-        family_members = tuple(tuple(f.members) for f in families)
-        executor = self._require_executor()
-        self.sync_executor()
-        want_tables = return_tables or bool(family_members)
-        if self._shm_tables is not None:
-            use_shm = self._shm_tables and want_tables and not executor.inline
-        else:
-            # shared memory pays off exactly when tables are ndarrays
-            # and a real process boundary would otherwise pickle them
-            use_shm = (
-                want_tables
-                and not executor.inline
-                and self.backend.vectorized
-            )
-        requests = [
-            EvalRequest(
-                shard_id=k,
-                scope=self._scope,
-                version=self._shard_versions[k],
-                n=self._n,
-                backend=self.backend.name,
-                tol=self._tol,
-                constraints=specs,
-                probes=probe_masks,
-                families=family_members,
-                return_tables=want_tables,
-                shm_tables=use_shm,
-            )
-            for k in range(self.shards)
-        ]
-        answers = executor.evaluate(requests)
-        violated = tuple(
-            any(a.verdicts[i] for a in answers)
-            for i in range(len(constraints))
-        )
-        support = {
-            mask: _sum_scalars((a.probes[i] for a in answers), self.backend)
-            for i, mask in enumerate(probe_masks)
-        }
-        density = support_tbl = None
-        diffs: Dict[Tuple[int, ...], Table] = {}
-        if want_tables:
-            density, support_tbl, diffs = self._merge_answer_tables(
-                answers, family_members
-            )
-        return ShardedEvaluation(
-            violated, support, density, support_tbl, diffs, answers
-        )
-
-    def _merge_answer_tables(
-        self,
-        answers: Sequence,
-        family_members: Tuple[Tuple[int, ...], ...],
-    ) -> Tuple[Table, Table, Dict[Tuple[int, ...], Table]]:
-        """Merge per-shard answer tables, attaching shm descriptors.
-
-        A :class:`~repro.engine.parallel.ShmTable` descriptor is
-        resolved to a read-only ndarray view over the worker's
-        published segment; its generation must match the shard version
-        this context just requested, so a respawned or lagging worker
-        can never feed a stale table into the merge.  The merged
-        tables are fresh copies (``sum_tables`` copies its first
-        input), so every attachment is closed before returning.
-        """
-        from repro.engine.parallel import ShmTable, attach_shm_table
-
-        segments: List = []
-
-        def resolve(table, shard_id: int):
-            if not isinstance(table, ShmTable):
-                return table
-            if table.generation != self._shard_versions[shard_id]:
-                raise RuntimeError(
-                    f"shard {shard_id} returned a shared-memory table "
-                    f"from generation {table.generation}, expected "
-                    f"{self._shard_versions[shard_id]} -- stale segment"
-                )
-            view, segment = attach_shm_table(table)
-            segments.append(segment)
-            self._shm_bytes[shard_id] += table.nbytes
-            return view
-
-        resolved: List[Tuple] = []
-        try:
-            for a in answers:
-                resolved.append(
-                    (
-                        resolve(a.density_table, a.shard_id),
-                        resolve(a.support_table, a.shard_id),
-                        [
-                            resolve(t, a.shard_id)
-                            for t in a.differential_tables
-                        ],
-                    )
-                )
-            density = sum_tables([r[0] for r in resolved], self.backend)
-            support_tbl = sum_tables([r[1] for r in resolved], self.backend)
-            diffs = {
-                members: sum_tables(
-                    [r[2][j] for r in resolved], self.backend
-                )
-                for j, members in enumerate(family_members)
-            }
-        finally:
-            # drop every view before closing: a numpy array exported
-            # from shm.buf keeps the segment's buffer alive, and
-            # close() on a segment with live exports raises BufferError
-            del resolved
-            for segment in segments:
-                try:
-                    segment.close()
-                except BufferError:  # pragma: no cover - traceback refs
-                    pass
-        return density, support_tbl, diffs
-
-    def __repr__(self) -> str:
-        return (
-            f"ShardedEvalContext(|S|={self._n}, shards={self.shards}, "
-            f"backend={self.backend.name!r}, nnz={self.support_size()}, "
-            f"tracked={len(self._constraints)})"
-        )
-
-
-def _shutdown_executor(executor) -> None:
-    executor.shutdown()
-
-
-def _sum_scalars(values, backend: Backend):
-    total = 0
-    for v in values:
-        total = total + v
-    return total if backend.exact else float(total)

@@ -63,8 +63,8 @@ from repro.errors import PersistenceError, PlanError
 
 __all__ = ["StreamReport", "StreamSession", "parse_transaction_log"]
 
-#: The engine policy of a session built without ``config=``: the plain
-#: incremental tier on the exact backend, never re-planned.
+#: The engine policy of a session built without ``config=``: the
+#: incremental tier on the exact backend.
 DEFAULT_CONFIG = EngineConfig(engine="incremental", backend="exact")
 
 
@@ -116,22 +116,11 @@ class StreamSession:
     as one :class:`~repro.engine.plan.EngineConfig` (``config=``): the
     planner resolves it to a :class:`~repro.engine.plan.Plan` and the
     live context is built through the single
-    :func:`~repro.engine.plan.build_context` factory.  With
-    ``config.engine == "auto"`` the session *re-plans online*: every
-    ``planner.REPLAN_EVERY`` committed transactions it re-consults the
-    cost model with the measured delta rate and live density size, and
-    **promotes** the tier (incremental -> sharded) with an exact state
-    handoff -- same density entries, same constraint statuses, version
-    counters carried over -- when the workload grows past the fan-out
-    bar.  The backend is pinned at construction and never changes
-    across a promotion.
-
-    With no ``config`` the session runs :data:`DEFAULT_CONFIG`: the
-    incremental tier on the exact backend, never re-planned.
-    ``shard_plan``/``executor`` pass a custom mask routing / a shared
-    executor through to the sharded tier; a ``shard_plan`` on any other
-    tier raises :class:`~repro.errors.PlanError` (it never selects the
-    tier itself: pass ``config=EngineConfig(engine="sharded")``).
+    :func:`~repro.engine.plan.build_context` factory.  The plan is fixed
+    for the session's lifetime: every live tier is the incremental one,
+    and ``config.engine == "auto"`` only leaves the backend to the
+    planner.  With no ``config`` the session runs
+    :data:`DEFAULT_CONFIG`: the incremental tier on the exact backend.
 
     ``config.durable`` (a data-directory path or a
     :class:`~repro.engine.persist.DurableStore`) makes the session
@@ -153,8 +142,6 @@ class StreamSession:
         constraints: Iterable = (),
         density=None,
         cache: Optional[ImplicationCache] = None,
-        shard_plan=None,
-        executor=None,
         retain: int = 2,
         config: Optional[EngineConfig] = None,
         planner: Optional[Planner] = None,
@@ -166,8 +153,6 @@ class StreamSession:
         constraints = tuple(constraints)
         self._snapshot_every = config.snapshot_every
         self._wedged = False
-        self._deltas = 0
-        self._promotions = 0
         self._store: Optional[DurableStore] = None
         if config.durable is not None:
             self._store = (
@@ -199,7 +184,7 @@ class StreamSession:
             ),
             config,
         )
-        if self._plan.tier not in ("incremental", "sharded"):
+        if self._plan.tier != "incremental":
             raise PlanError(
                 f"stream sessions need a live tier, but the planner "
                 f"resolved {self._plan.tier!r} for |S| = {ground.size}; "
@@ -217,8 +202,6 @@ class StreamSession:
             density=density,
             constraints=constraints,
             cache=cache,
-            executor=executor,
-            shard_plan=shard_plan,
         )
         self._tx = 0
         if self._store is not None:
@@ -345,12 +328,9 @@ class StreamSession:
         self._store.snapshot(snapshot_state(self._context, self._tx))
 
     def close(self) -> None:
-        """Flush and close the durable store (and any owned executor)."""
+        """Flush and close the durable store."""
         if self._store is not None:
             self._store.close()
-        closer = getattr(self._context, "close", None)
-        if closer is not None:
-            closer()
 
     def __enter__(self) -> "StreamSession":
         return self
@@ -371,18 +351,8 @@ class StreamSession:
 
     @property
     def plan(self) -> Plan:
-        """The currently active plan (changes across promotions)."""
+        """The plan this session was built from."""
         return self._plan
-
-    @property
-    def planner(self) -> Planner:
-        """The planner auto sessions re-consult when re-planning."""
-        return self._planner
-
-    @property
-    def promotions(self) -> int:
-        """How many online tier promotions this session has performed."""
-        return self._promotions
 
     @property
     def calibration(self) -> dict:
@@ -395,75 +365,6 @@ class StreamSession:
         summary = profile.summary()
         summary["enabled"] = True
         return summary
-
-    @property
-    def transport(self) -> Optional[dict]:
-        """The sharded tier's transport counters (deltas shipped, full
-        resyncs, shared-memory bytes, per shard) for the service's
-        ``/stats`` engine block; ``None`` on unsharded sessions."""
-        stats = getattr(self._context, "transport_stats", None)
-        return stats() if callable(stats) else None
-
-    # ------------------------------------------------------------------
-    # online re-planning (config.engine == "auto")
-    # ------------------------------------------------------------------
-    def _measured_workload(self) -> Workload:
-        return Workload(
-            n=self._context.ground.size,
-            constraints=len(self._context.constraints),
-            delta_rate=self._deltas / max(1, self._tx),
-            density_size=self._context.support_size(),
-            streaming=True,
-        )
-
-    def _maybe_replan(self) -> None:
-        if self._config.engine != "auto" or self._plan.tier == "sharded":
-            return
-        if not self._planner.replan_due(self._tx):
-            return
-        self.replan()
-
-    def replan(self) -> Plan:
-        """Re-consult the planner with the measured workload; promote the
-        tier if the plan escalated.  Called automatically every
-        ``planner.REPLAN_EVERY`` transactions on auto sessions; callable
-        directly to force an immediate decision.
-
-        The backend is pinned to the running one -- a promotion changes
-        the tier, never the numeric representation, so the state
-        handoff is exact.
-        """
-        pinned = self._config.replace(backend=self._plan.backend)
-        new_plan = self._planner.plan(self._measured_workload(), pinned)
-        if new_plan.tier == "sharded" and self._plan.tier != "sharded":
-            self._promote(new_plan)
-        return self._plan
-
-    def _promote(self, new_plan: Plan) -> None:
-        """Exact state handoff onto a higher tier: same density entries,
-        same constraint statuses, version counters carried over (so
-        fingerprint-keyed downstream caches stay monotonic)."""
-        old = self._context
-        new = build_context(
-            new_plan,
-            old.ground,
-            density=dict(old.density_items()),
-            constraints=old.constraints,
-            cache=old.cache,
-        )
-        if (
-            new.violated_constraints() != old.violated_constraints()
-            or new.support_size() != old.support_size()
-        ):
-            raise PlanError(
-                "tier promotion produced divergent state (this is a "
-                "bug): violated/support mismatch after handoff"
-            )
-        new._theory_version = old.theory_version
-        new._zero_version = old.zero_version
-        self._context = new
-        self._plan = new_plan
-        self._promotions += 1
 
     @property
     def ground(self):
@@ -528,10 +429,10 @@ class StreamSession:
                 self._wedged = True
                 raise
             # the append is the commit point: advance the counter now,
-            # so a failure in the apply below (sharded executor death,
-            # ...) cannot make a later transaction reuse this sequence
-            # number and brick the log -- reopening replays the record
-            # and heals the live state instead
+            # so a failure in the apply below cannot make a later
+            # transaction reuse this sequence number and brick the log
+            # -- reopening replays the record and heals the live state
+            # instead
             self._tx += 1
             try:
                 newly, restored = self._context.apply_batch(deltas)
@@ -544,18 +445,15 @@ class StreamSession:
         else:
             newly, restored = self._context.apply_batch(deltas)
             self._tx += 1
-        self._deltas += len(deltas)
         if (
             self._snapshot_every is not None
             and self._store is not None
             and self._tx % self._snapshot_every == 0
         ):
             self.snapshot()
-        report = StreamReport(
+        return StreamReport(
             self._tx, newly, restored, self._context.violated_constraints()
         )
-        self._maybe_replan()
-        return report
 
     def apply_ops(self, ops: Iterable[Op]) -> StreamReport:
         """Commit a batch of parsed log operations."""

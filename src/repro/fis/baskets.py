@@ -21,19 +21,8 @@ import numpy as np
 from repro.core import subsets as sb
 from repro.core.ground import GroundSet
 from repro.core.setfunction import SetFunction, SparseDensityFunction
-from repro.engine.plan import (
-    EngineConfig,
-    Workload,
-    build_context,
-    default_planner,
-)
 
 __all__ = ["BasketDatabase"]
-
-#: The engine policy of :meth:`BasketDatabase.sharded_context` without
-#: ``config=``: the sharded tier on the exact backend, shard and worker
-#: counts left to the planner.
-SHARDED_DEFAULT_CONFIG = EngineConfig(engine="sharded", backend="exact")
 
 
 class BasketDatabase:
@@ -177,11 +166,10 @@ class BasketDatabase:
         session state directly.
 
         ``config`` is the :class:`repro.engine.EngineConfig` the planner
-        resolves the session from (with ``engine="auto"`` the session
-        re-plans and promotes tiers online as the instance grows); with
-        no ``config`` the session runs the incremental tier on the exact
-        backend (:data:`repro.engine.stream.DEFAULT_CONFIG`).  Remaining
-        keyword arguments pass through to the session.
+        resolves the session from; with no ``config`` the session runs
+        the incremental tier on the exact backend
+        (:data:`repro.engine.stream.DEFAULT_CONFIG`).  Remaining keyword
+        arguments pass through to the session.
         ``config.durable`` makes the session crash-proof and
         *reopenable*: the first open records this database's counts as
         the seed (fingerprinted), later opens on the same directory
@@ -196,46 +184,5 @@ class BasketDatabase:
             constraints=constraints,
             density=self.multiset_counts(),
             config=config,
-            **kwargs,
-        )
-
-    def sharded_context(self, constraints: Iterable = (), config=None, **kwargs):
-        """A :class:`repro.engine.ShardedEvalContext` over this database.
-
-        The baskets are partitioned by itemset mask across the plan's
-        shards (default: planner-resolved from the host CPU budget), so
-        the per-shard densities are the multiset counts of disjoint
-        sublists of ``B`` -- Section 6.1's additivity made literal.  The
-        context's merged state is the support function ``s_B``;
-        discovery and satisfaction machinery consume it directly, and a
-        plan with ``workers > 1`` attaches a process pool for fanned-out
-        evaluation.  ``config`` pins the knobs
-        (:class:`repro.engine.EngineConfig`; ``engine`` is forced to
-        ``"sharded"`` here); with no ``config`` it is
-        :data:`SHARDED_DEFAULT_CONFIG` (sharded tier, exact backend,
-        planner-chosen shards and workers).  Remaining keyword arguments
-        (``cache``, ``executor``, ``shard_plan``) pass through to
-        :func:`repro.engine.plan.build_context`.
-        """
-        if config is None:
-            config = SHARDED_DEFAULT_CONFIG
-        elif config.engine != "sharded":
-            config = config.replace(engine="sharded")
-        constraints = tuple(constraints)
-        counts = self.multiset_counts()
-        plan = default_planner().plan(
-            Workload(
-                n=self._ground.size,
-                constraints=len(constraints),
-                density_size=len(counts),
-                streaming=True,
-            ),
-            config,
-        )
-        return build_context(
-            plan,
-            self._ground,
-            density=counts,
-            constraints=constraints,
             **kwargs,
         )

@@ -49,10 +49,9 @@ AnySetFunction = Union[SetFunction, SparseDensityFunction]
 def _as_function(source, config=None):
     """Unwrap mining sources: stream sessions expose their live context
     (which itself implements the set-function protocol).  Incremental
-    and sharded contexts (:class:`repro.engine.ShardedEvalContext`)
-    pass through directly -- discovery over a partitioned instance
-    reads the merged live state, so ``db.sharded_context()`` mines
-    without materializing an unsharded copy.
+    contexts (:class:`repro.engine.IncrementalEvalContext`) pass
+    through directly, so a live instance mines without materializing a
+    copy.
 
     ``config`` (an :class:`repro.engine.EngineConfig`) routes a basket
     database through the engine planner instead of the plain sparse

@@ -144,7 +144,7 @@ class StreamingFDChecker:
     every insert/delete reports exactly which FDs it newly violated or
     restored -- no quadratic re-scan of the relation per check.
 
-    Engine policy (tier, backend, shards, workers) comes in as one
+    Engine policy (tier, backend) comes in as one
     :class:`repro.engine.EngineConfig` (``config=``), resolved by the
     planner and built through the single
     :func:`repro.engine.plan.build_context` factory; with no ``config``
@@ -188,9 +188,6 @@ class StreamingFDChecker:
         self._by_constraint = {
             fd.to_differential(): fd for fd in self._fds
         }
-        # a sharded plan partitions the agreement density by
-        # agreement-set mask (the sharded engine path); semantics are
-        # identical.
         self._session = StreamSession(
             ground,
             constraints=tuple(self._by_constraint),

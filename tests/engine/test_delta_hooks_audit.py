@@ -1,9 +1,9 @@
 """Audit regressions: delta hooks on degenerate densities and shards.
 
-Shard routing rebuilds per-shard state from ``density_items()`` and
-merges it back, which makes the protocol's edge cases load-bearing:
-an entry that an unsharded consumer silently mishandles becomes a
-merge mismatch.  The audit found one real divergence, pinned here:
+Shard routing (:class:`~repro.engine.ShardPlan`) rebuilds per-shard
+state from ``density_items()`` and merges it back by sum, which makes
+the protocol's edge cases load-bearing: an entry that the live context
+silently mishandles becomes a merge mismatch.  The audit found one real divergence, pinned here:
 
 * ``IncrementalEvalContext.density_items()`` / ``value()`` (and hence
   ``support_size``) used the *tolerance-based* nonzero set, silently
@@ -14,8 +14,8 @@ merge mismatch.  The audit found one real divergence, pinned here:
   too; constraint statuses and ``zero_set`` keep the paper's tolerance
   semantics (Definition 3.1) unchanged.
 
-The remaining tests pin the all-zero-density and empty-shard behaviors
-that shard routing exercises (cancelling deltas, zero deltas, trivial
+The remaining tests pin the all-zero-density and empty-ground-set
+behaviors that shard routing exercises (cancelling deltas, zero deltas, trivial
 and empty families) across ``apply_density_delta`` / ``delta_affects``
 implementations.
 """
@@ -34,10 +34,10 @@ from repro.core import (
 )
 from repro.engine import (
     IncrementalEvalContext,
-    ShardedEvalContext,
+    ShardPlan,
     recompute_tables,
 )
-from repro.engine.backends import backend_by_name
+from repro.engine.backends import EXACT, backend_by_name
 
 
 @pytest.fixture
@@ -104,13 +104,19 @@ class TestSubToleranceResidues:
         assert flips == [(c, True)]
         assert ctx.is_violated(c)
 
-    def test_sharded_context_routes_residues(self, ground):
-        """Shard dicts keep residues exactly like the merged tables."""
-        ctx = ShardedEvalContext(ground, shards=3, backend="exact")
+    def test_shard_routing_keeps_residues(self, ground):
+        """Per-shard densities routed from density_items() keep residues
+        and merge back to the live density table exactly."""
+        ctx = IncrementalEvalContext(ground, backend="exact")
         residue = Fraction(1, 10**12)
         ctx.apply_delta(ground.parse("B"), residue)
-        assert sum(ctx.shard_sizes()) == 1
-        assert list(ctx.merged_density_table()) == list(ctx.density_table())
+        parts = ShardPlan(3).partition_density(ctx.density_items())
+        assert sum(len(part) for part in parts) == 1
+        size = 1 << ground.size
+        merged = EXACT.sum_tables(
+            [EXACT.scatter(size, part.items()) for part in parts]
+        )
+        assert list(merged) == list(ctx.density_table())
         assert dict(ctx.density_items()) == {ground.parse("B"): residue}
 
 
@@ -119,14 +125,13 @@ class TestAllZeroDensity:
 
     def test_cancelled_deltas_empty_everything(self, ground):
         for backend_name in ("exact", "float"):
-            ctx = ShardedEvalContext(ground, shards=2, backend=backend_name)
+            ctx = IncrementalEvalContext(ground, backend=backend_name)
             ctx.support_table()
             mask = ground.parse("AB")
             ctx.apply_delta(mask, 3)
             ctx.apply_delta(mask, -3)
             assert dict(ctx.density_items()) == {}
             assert ctx.support_size() == 0
-            assert ctx.shard_sizes() == (0, 0)
             assert ctx.value(0) == 0
             assert list(ctx.support_table()) == list(
                 backend_by_name(backend_name).zeros(1 << ground.size)
@@ -150,11 +155,10 @@ class TestAllZeroDensity:
 
     def test_zero_delta_is_a_noop_everywhere(self, ground):
         c = DifferentialConstraint.parse(ground, "A -> B")
-        ctx = ShardedEvalContext(ground, constraints=[c], shards=2)
-        before = ctx.theory_version
+        ctx = IncrementalEvalContext(ground, constraints=[c])
+        before = (ctx.theory_version, ctx.zero_version)
         assert ctx.apply_delta(ground.parse("AC"), 0) == []
-        assert ctx.shard_versions == (0, 0)
-        assert ctx.theory_version == before
+        assert (ctx.theory_version, ctx.zero_version) == before
         f = SetFunction.zeros(ground, exact=True)
         f.apply_density_delta(ground.parse("AC"), 0)
         assert list(f.table()) == [0] * 8
@@ -191,7 +195,7 @@ class TestDeltaAffectsEdges:
 
     def test_empty_ground_set_hooks(self):
         empty = GroundSet("")
-        ctx = ShardedEvalContext(empty, shards=2)
+        ctx = IncrementalEvalContext(empty)
         ctx.apply_delta(0, 4)
         assert ctx.value(0) == 4
         assert dict(ctx.density_items()) == {0: 4}

@@ -59,7 +59,18 @@ class TestWireProtocol:
         assert stats["engine"]["backend"] == "exact"
         assert stats["engine"]["shards"] == 1
         assert stats["engine"]["durable"] is False
-        assert stats["engine"]["promotions"] == 0
+
+    def test_stats_engine_block_contract(self, service):
+        """Readers of /stats (perfbench among them) rely on these keys:
+        the plan's five fields, with the single-process shards/workers
+        constants, plus the calibration digest -- and nothing from the
+        removed sharded tier."""
+        engine = service.client().stats()["engine"]
+        assert {"tier", "backend", "shards", "workers", "durable"} <= set(engine)
+        assert engine["shards"] == engine["workers"] == 1
+        assert engine["calibration"] == {"enabled": False}
+        assert "transport" not in engine
+        assert "promotions" not in engine
 
     def test_boot_from_one_engine_config(self, cset):
         handle = ReproService(

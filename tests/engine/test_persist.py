@@ -21,16 +21,23 @@ import struct
 import pytest
 
 from repro.core import ConstraintSet, GroundSet
-from repro.engine import EngineConfig, StreamSession
+from repro.engine import (
+    EngineConfig,
+    IncrementalEvalContext,
+    ShardPlan,
+    StreamSession,
+)
 from repro.engine.persist import (
     DurableStore,
     SnapshotStore,
     WriteAheadLog,
+    decode_density,
     decode_transaction,
     density_fingerprint,
     encode_transaction,
     format_subset,
     parse_value,
+    verify_recovered,
 )
 from repro.errors import (
     CorruptSnapshotError,
@@ -280,16 +287,39 @@ class TestDurableSession:
         s2.close()
 
     def test_sharded_reopen_matches(self, ground, cset, tmp_path):
-        s = make_session(ground, cset, tmp_path, engine="sharded", shards=3)
+        """A data dir whose snapshot a sharded session wrote (it carries
+        ``shards``/``shard_sizes``) recovers on the incremental tier:
+        the routing fields are ignored, the state is not."""
+        s = make_session(ground, cset, tmp_path)
         for text in ("AB", "ABC", "CD", "D"):
             s.insert(text)
-        expected = state_of(s)
-        sizes = s.context.shard_sizes()
         s.snapshot()
+        s.insert("AB", 2)  # a WAL tail past the snapshot
+        expected = state_of(s)
+        mass = sum(v for _, v in s.context.density_items())
         s.close()
-        s2 = make_session(ground, cset, tmp_path, engine="sharded", shards=3)
+        snapshots = SnapshotStore(str(tmp_path / "data"))
+        _, path = snapshots.list()[-1]
+        with open(path) as fh:
+            payload = json.load(fh)
+        parts = ShardPlan(3).partition_density(decode_density(payload))
+        payload["shards"] = 3
+        payload["shard_sizes"] = [len(part) for part in parts]
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        # the recovery check itself ignores the routing fields
+        payload["shard_sizes"] = [99, 99, 99]
+        seeded = IncrementalEvalContext(
+            ground,
+            density=decode_density(payload),
+            constraints=cset.constraints,
+        )
+        verify_recovered(seeded, payload)
+
+        s2 = make_session(ground, cset, tmp_path)
         assert state_of(s2) == expected
-        assert s2.context.shard_sizes() == sizes
+        assert s2.transactions == 5
+        assert sum(v for _, v in s2.context.density_items()) == mass
         s2.close()
 
     def test_snapshot_compacts_wal(self, ground, cset, tmp_path):

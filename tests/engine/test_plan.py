@@ -1,9 +1,9 @@
 """The engine planner: tier boundaries, the config surface and the
 factory.
 
-Every cost-model threshold is crossed from both sides, degenerate hosts
-(1 CPU) and ground sets (``|S| in {0, 1}``) are pinned, and so is what
-each entry point resolves to when it is built without ``config=``.
+Every cost-model threshold is crossed from both sides, degenerate
+ground sets (``|S| in {0, 1}``) are pinned, and so is what each entry
+point resolves to when it is built without ``config=``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from repro.engine import (
     IncrementalEvalContext,
     Planner,
     ReproService,
-    ShardedEvalContext,
     StreamSession,
     Workload,
     build_context,
@@ -45,7 +44,7 @@ class TestCostModelBoundaries:
     def test_one_shot_workloads_are_batched(self):
         plan = plan_for(n=8, constraints=4, queries=10)
         assert plan.tier == "batched"
-        assert plan.shards == 1 and plan.effective_workers == 1
+        assert plan.as_dict()["shards"] == plan.as_dict()["workers"] == 1
 
     def test_degenerate_ground_sets_stay_scalar(self):
         for n in (0, 1):
@@ -74,11 +73,8 @@ class TestCostModelBoundaries:
             assert session.config == EngineConfig(
                 engine="incremental", backend="exact"
             )
-            assert session.plan.stamp() == (
-                "tier=incremental, backend=exact, shards=1, workers=1"
-            )
-        sharded = plan_of_context(db.sharded_context())
-        assert (sharded.tier, sharded.backend) == ("sharded", "exact")
+            assert session.plan.stamp() == "tier=incremental, backend=exact"
+            assert type(session.context) is IncrementalEvalContext
 
     def test_streaming_degenerate_ground_sets_stay_incremental(self):
         # a live session needs live tables even over |S| <= 1
@@ -106,14 +102,6 @@ class TestCostModelBoundaries:
             n=stream_vec, streaming=True, config=EngineConfig(tol=0.0)
         )
         assert plan.tier == "incremental" and plan.backend == "exact-vec"
-        # the sharded tier is rebuild-dominated: low bar applies
-        plan = plan_for(
-            n=planner.SHARD_MIN_N,
-            streaming=True,
-            density_size=planner.SHARD_MIN_DENSITY,
-            cpus=planner.SHARD_MIN_CPUS,
-        )
-        assert plan.tier == "sharded" and plan.backend == "exact-vec"
 
     def test_zero_tolerance_forces_exact(self):
         planner = default_planner()
@@ -137,66 +125,21 @@ class TestCostModelBoundaries:
         plan = plan_for(n=4, queries=1, config=EngineConfig(backend="float"))
         assert plan.backend == "float"
 
-    def test_shard_bar_needs_cpus_n_and_load(self):
-        planner = default_planner()
-        base = dict(
-            n=planner.SHARD_MIN_N,
-            streaming=True,
-            density_size=planner.SHARD_MIN_DENSITY,
-            cpus=planner.SHARD_MIN_CPUS,
-        )
-        assert plan_for(**base).tier == "sharded"
-        # drop each leg below its threshold: the bar is conjunctive
-        assert (
-            plan_for(**{**base, "cpus": planner.SHARD_MIN_CPUS - 1}).tier
-            == "incremental"
-        )
-        assert (
-            plan_for(**{**base, "n": planner.SHARD_MIN_N - 1}).tier
-            == "incremental"
-        )
-        assert (
-            plan_for(
-                **{**base, "density_size": planner.SHARD_MIN_DENSITY - 1}
-            ).tier
-            == "incremental"
-        )
+    def test_delta_rate_alone_makes_the_workload_live(self):
+        plan = plan_for(n=12, streaming=False, delta_rate=1.0)
+        assert plan.tier == "incremental"
+        assert plan_for(n=12, streaming=False).tier == "batched"
 
-    def test_delta_rate_alone_clears_the_load_leg(self):
-        planner = default_planner()
+    def test_no_workload_resolves_a_sharded_tier(self):
+        assert TIERS == ("scalar", "batched", "incremental")
+        assert LIVE_TIERS == ("incremental",)
+        # however loaded, a live workload stays on the incremental tier
         plan = plan_for(
-            n=planner.SHARD_MIN_N,
-            streaming=True,
-            density_size=0,
-            delta_rate=planner.SHARD_MIN_DELTA_RATE,
-            cpus=planner.SHARD_MIN_CPUS,
-        )
-        assert plan.tier == "sharded"
-
-    def test_single_cpu_host_never_shards(self):
-        plan = plan_for(
-            n=16, streaming=True, density_size=10**6, delta_rate=1e6, cpus=1
+            n=16, streaming=True, density_size=10**6, delta_rate=1e6
         )
         assert plan.tier == "incremental"
-
-    def test_sharded_resolution_of_shards_and_workers(self):
-        planner = default_planner()
-        plan = plan_for(
-            n=16, streaming=True, density_size=10**6, cpus=6
-        )
-        assert plan.tier == "sharded"
-        assert plan.shards == min(6, planner.MAX_SHARDS)
-        assert plan.workers == min(6, plan.shards)
-        capped = plan_for(n=16, streaming=True, density_size=10**6, cpus=64)
-        assert capped.shards == planner.MAX_SHARDS
-
-    def test_pinned_workers_capped_by_shards(self):
-        plan = plan_for(
-            n=16,
-            streaming=True,
-            config=EngineConfig(engine="sharded", shards=2, workers=16),
-        )
-        assert plan.workers == 2
+        # the /stats block keeps its constant single-process keys
+        assert plan.as_dict()["shards"] == plan.as_dict()["workers"] == 1
 
     def test_plan_overhead_reasons_and_stamp(self):
         plan = plan_for(n=8, queries=1)
@@ -222,13 +165,13 @@ class TestForcedTiersAndValidation:
                 config=EngineConfig(engine="incremental"),
             )
 
-    def test_shards_pinned_on_unsharded_tier_is_loud(self):
-        with pytest.raises(PlanError, match="unsharded tier"):
-            plan_for(
-                n=6,
-                streaming=True,
-                config=EngineConfig(engine="incremental", shards=3),
-            )
+    def test_shard_knobs_are_gone(self):
+        # asking for a shard fan-out is loud, never silently dropped
+        with pytest.raises(PlanError, match="unknown engine tier"):
+            EngineConfig(engine="sharded")
+        for knob in ("shards", "workers"):
+            with pytest.raises(TypeError):
+                EngineConfig(**{knob: 2})
 
     def test_config_validation(self):
         with pytest.raises(PlanError):
@@ -238,10 +181,6 @@ class TestForcedTiersAndValidation:
         for ok in ("exact", "exact-vec", "float"):
             assert EngineConfig(backend=ok).backend == ok
         with pytest.raises(PlanError):
-            EngineConfig(shards=0)
-        with pytest.raises(PlanError):
-            EngineConfig(workers=0)
-        with pytest.raises(PlanError):
             EngineConfig(fsync="sometimes")
         with pytest.raises(PlanError):
             EngineConfig(snapshot_every=0)
@@ -249,8 +188,6 @@ class TestForcedTiersAndValidation:
             EngineConfig(cache_size=0)
         with pytest.raises(PlanError):
             Workload(n=-1)
-        with pytest.raises(PlanError):
-            Workload(n=4, cpus=0)
         with pytest.raises(PlanError):
             Planner(NO_SUCH_THRESHOLD=1)
 
@@ -262,7 +199,6 @@ class TestBuildContext:
             "scalar": EvalContext,
             "batched": EvalContext,
             "incremental": IncrementalEvalContext,
-            "sharded": ShardedEvalContext,
         }
         for tier, cls in by_tier.items():
             plan = plan_for(
@@ -270,11 +206,9 @@ class TestBuildContext:
                 config=EngineConfig(engine=tier),
             )
             ctx = build_context(plan, ground)
+            # incremental subclasses EvalContext: assert the exact
+            # class, then the tier's distinguishing API
             assert type(ctx) is cls
-            # sharded subclasses incremental subclasses EvalContext:
-            # assert the exact class, then the tier's distinguishing API
-            if tier == "sharded":
-                assert ctx.shards == plan.shards
             if tier == "scalar":
                 assert ctx.backend is None  # operands keep their storage
             if tier == "batched":
@@ -294,8 +228,9 @@ class TestBuildContext:
                 n=3, streaming=True, config=EngineConfig(engine=tier)
             )
             described = plan_of_context(build_context(plan, ground))
-            assert described.tier == tier
-            assert described.shards == plan.shards
+            assert (described.tier, described.backend) == (
+                tier, plan.backend
+            )
         assert plan_of_context(EvalContext(backend="exact")).tier == "batched"
         assert plan_of_context(EvalContext()).tier == "scalar"
 
@@ -340,98 +275,11 @@ class TestDurableReopen:
         reopened.close()
 
 
-class TestOnlinePromotion:
-    def promoting_planner(self, replan_every=2):
-        return Planner(
-            SHARD_MIN_CPUS=1,
-            SHARD_MIN_N=2,
-            SHARD_MIN_DENSITY=3,
-            SHARD_MIN_DELTA_RATE=10**9,
-            REPLAN_EVERY=replan_every,
-        )
-
-    def test_auto_session_promotes_and_state_survives(self):
-        ground = GroundSet("ABCD")
-        cset = ConstraintSet.of(ground, "A -> B", "C -> D")
-        session = StreamSession(
-            ground,
-            cset.constraints,
-            config=EngineConfig(engine="auto"),
-            planner=self.promoting_planner(),
-        )
-        assert session.plan.tier == "incremental"
-        before_versions = None
-        for subset in ("AB", "AC", "BD", "CD", "A"):
-            session.insert(subset)
-            if session.promotions == 0:
-                before_versions = (
-                    session.context.theory_version,
-                    session.context.zero_version,
-                )
-        assert session.promotions == 1
-        assert session.plan.tier == "sharded"
-        assert isinstance(session.context, ShardedEvalContext)
-        # exact handoff: live values and statuses match an unpromoted
-        # oracle session fed the identical stream
-        oracle = StreamSession(
-            ground, cset.constraints,
-            config=EngineConfig(engine="incremental"),
-        )
-        for subset in ("AB", "AC", "BD", "CD", "A"):
-            oracle.insert(subset)
-        assert session.support("A") == oracle.support("A")
-        assert (
-            session.violated_constraints() == oracle.violated_constraints()
-        )
-        # version counters carried over (monotonic for downstream caches)
-        assert session.context.theory_version >= before_versions[0]
-        assert session.context.zero_version >= before_versions[1]
-
-    def test_pinned_tier_never_promotes(self):
-        ground = GroundSet("ABC")
-        session = StreamSession(
-            ground,
-            config=EngineConfig(engine="incremental"),
-            planner=self.promoting_planner(),
-        )
-        for subset in ("A", "B", "C", "AB", "BC", "AC"):
-            session.insert(subset)
-        assert session.promotions == 0
-        assert session.plan.tier == "incremental"
-
-    def test_promotion_pins_the_running_backend(self):
-        ground = GroundSet("ABCD")
-        session = StreamSession(
-            ground,
-            config=EngineConfig(engine="auto", backend="float"),
-            planner=self.promoting_planner(),
-        )
-        for subset in ("AB", "AC", "BD", "CD"):
-            session.insert(subset)
-        assert session.promotions == 1
-        assert session.plan.backend == "float"
-        assert session.context.backend.name == "float"
-
-    def test_forced_replan_promotes_immediately(self):
-        ground = GroundSet("ABC")
-        session = StreamSession(
-            ground,
-            config=EngineConfig(engine="auto"),
-            planner=self.promoting_planner(replan_every=10**6),
-        )
-        for subset in ("A", "B", "C"):
-            session.insert(subset)
-        assert session.promotions == 0
-        session.replan()
-        assert session.promotions == 1
-        assert session.plan.tier == "sharded"
-
-
 class TestAffinityAwareCpuDetection:
     """The host-CPU probe must see what the *process* may use, not what
     the box has: ``os.cpu_count()`` overstates parallelism under CPU
-    pinning and container quotas, which used to route constrained hosts
-    onto the strictly-slower sharded tier (PR 6's 0.33x cold case)."""
+    pinning and container quotas, and the fleet size and executor pool
+    default to it."""
 
     LOADED = dict(
         n=14, streaming=True, density_size=10**6, delta_rate=5000.0
@@ -472,15 +320,6 @@ class TestAffinityAwareCpuDetection:
         )
         monkeypatch.setattr(calibrate.os, "cpu_count", lambda: 16)
         workload = Workload(**self.LOADED)
-        assert workload.host_cpus == 2
         assert default_planner().plan(workload).tier == "incremental"
         assert default_workers() == 2
         assert default_workers(shards=8) == 2
-
-    def test_cpus_pinned_below_the_bar_never_shard(self):
-        # the acceptance bar: with cpus pinned below SHARD_MIN_CPUS, no
-        # workload -- even maximally loaded -- resolves to sharded
-        for cpus in (1, 2, 3):
-            plan = plan_for(cpus=cpus, **self.LOADED)
-            assert plan.tier == "incremental"
-        assert plan_for(cpus=4, **self.LOADED).tier == "sharded"

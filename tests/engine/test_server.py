@@ -15,7 +15,7 @@ from repro.engine import (
     ConstraintServer,
     EngineConfig,
     ImplicationCache,
-    ShardedEvalContext,
+    IncrementalEvalContext,
     serve_queries,
 )
 
@@ -57,10 +57,8 @@ class TestServeQueries:
         with pytest.raises(RuntimeError, match="no live instance"):
             serve_queries(cset, [("check", target(ground, "A -> B"))])
 
-    def test_check_against_sharded_instance(self, ground, cset):
-        ctx = ShardedEvalContext(
-            ground, density={ground.parse("AC"): 1}, shards=2
-        )
+    def test_check_against_live_instance(self, ground, cset):
+        ctx = IncrementalEvalContext(ground, density={ground.parse("AC"): 1})
         answers, _ = serve_queries(
             cset,
             [("check", c) for c in cset.constraints],
@@ -118,9 +116,7 @@ class TestConstraintServer:
         assert stats.cache_hits == 0
 
     def test_version_keyed_check_invalidation(self, ground, cset):
-        ctx = ShardedEvalContext(
-            ground, constraints=cset.constraints, shards=2
-        )
+        ctx = IncrementalEvalContext(ground, constraints=cset.constraints)
         c = cset.constraints[0]  # A -> B
 
         async def scenario():

@@ -1,31 +1,19 @@
-"""Shard transport: delta shipping, eviction index, shm lifecycle.
+"""Executor transport: delta shipping, eviction index, shm lifecycle.
 
-Covers the worker-side pieces directly (``_w_apply_deltas`` version
-guards and in-place table maintenance, the owner-keyed eviction index,
-``_shm_exportable`` / publish / attach / unlink), and the context-level
-edges through real executors: ``clear()`` mid-stream forcing a full
-reship before delta shipping resumes, worker crash + respawn never
-serving a stale shm generation, and ``workers=1`` inline mode being
-byte-identical with transport toggled on or off.
+Covers the parallel executor's worker-side pieces directly
+(``_w_apply_deltas`` version guards and in-place table maintenance, the
+owner-keyed eviction index, ``_shm_exportable`` / publish / attach /
+unlink).
 """
 
 from __future__ import annotations
 
-import os
 import uuid
 
 import numpy as np
 import pytest
 
-from repro.core import DifferentialConstraint, GroundSet, SetFamily
-from repro.engine import (
-    IncrementalEvalContext,
-    ParallelExecutor,
-    ShardedEvalContext,
-    ShmTable,
-    WorkerCrashError,
-    attach_shm_table,
-)
+from repro.engine import ShmTable, attach_shm_table
 from repro.engine import parallel
 from repro.engine.backends import VecTable, backend_by_name
 from repro.engine.parallel import (
@@ -39,10 +27,6 @@ from repro.engine.parallel import (
 )
 
 BACKENDS = ["exact", "exact-vec", "float"]
-
-
-def _die() -> None:  # must be module-level: shipped to a pool worker
-    os._exit(13)
 
 
 @pytest.fixture
@@ -248,197 +232,3 @@ class TestShmLifecycle:
         _w_clear(ns)
         with pytest.raises(FileNotFoundError):
             parallel._attach_segment(name)
-
-    def test_generation_guard_rejects_stale_segment(self):
-        from repro.engine.parallel import ShardAnswer
-
-        ground = GroundSet("AB")
-        ctx = ShardedEvalContext(ground, shards=1)
-        ctx.apply_delta(1, 1)  # shard 0 now at version 1
-        stale = ShardAnswer(
-            shard_id=0,
-            version=0,
-            nnz=0,
-            verdicts=(),
-            probes=(),
-            density_table=ShmTable("no-such-segment", "<i8", 4, 32, 0),
-            support_table=[0, 0, 0, 0],
-            differential_tables=(),
-        )
-        with pytest.raises(RuntimeError, match="stale segment"):
-            ctx._merge_answer_tables([stale], ())
-
-
-# ----------------------------------------------------------------------
-# context-level edges through real executors
-# ----------------------------------------------------------------------
-def oracle_tables(ground, items, backend_name):
-    plain = IncrementalEvalContext(ground, backend=backend_name)
-    for mask, delta in items:
-        plain.apply_delta(mask, delta)
-    return plain
-
-
-class TestEpochAndResync:
-    def test_clear_mid_stream_full_reship_then_delta_resume(self):
-        ground = GroundSet("ABC")
-        applied = []
-
-        def push(ctx, pairs):
-            for mask, delta in pairs:
-                ctx.apply_delta(mask, delta)
-                applied.append((mask, delta))
-
-        with ParallelExecutor(workers=2) as ex:
-            ctx = ShardedEvalContext(ground, shards=2, executor=ex)
-            push(ctx, [(1, 1), (2, 2), (5, 1)])
-            ctx.evaluate(return_tables=True)  # first load: the baseline
-            stats = ctx.transport_stats()
-            assert stats["full_resyncs"] == 0  # first load is not a fallback
-
-            push(ctx, [(1, 1), (6, -1)])
-            ctx.evaluate(return_tables=True)
-            shipped = ctx.transport_stats()["deltas_shipped"]
-            assert shipped >= 2  # the dirty shards went by delta
-
-            ex.clear()  # mid-stream: workers forget everything
-            push(ctx, [(3, 4)])
-            ctx.evaluate(return_tables=True)
-            stats = ctx.transport_stats()
-            assert stats["full_resyncs"] >= 1  # epoch moved: full reship
-            assert stats["deltas_shipped"] == shipped
-
-            push(ctx, [(3, 1)])
-            result = ctx.evaluate(return_tables=True)
-            assert (
-                ctx.transport_stats()["deltas_shipped"] > shipped
-            )  # delta shipping resumed after the reship
-
-            plain = oracle_tables(ground, applied, "exact")
-            assert list(result.density_table) == list(plain.density_table())
-
-    def test_worker_crash_respawn_never_serves_stale_generation(self):
-        ground = GroundSet("ABCD")
-        with ParallelExecutor(workers=2) as ex:
-            ctx = ShardedEvalContext(
-                ground, shards=2, backend="exact-vec", executor=ex
-            )
-            applied = [(m, (m % 3) + 1) for m in range(0, 16, 2)]
-            for mask, delta in applied:
-                ctx.apply_delta(mask, delta)
-            ctx.evaluate(return_tables=True)  # publishes shm segments
-            assert ctx.transport_stats()["shm_bytes"] > 0
-            old_names = [
-                name for names in ex._segments.values() for name in names
-            ]
-            assert old_names
-            epoch = ex.epoch
-
-            with pytest.raises(WorkerCrashError):
-                ex._run([(0, _die, ())])
-            assert ex.epoch == epoch + 1
-            for name in old_names:  # crash cleanup unlinked them
-                assert not os.path.exists(f"/dev/shm/{name}")
-
-            ctx.apply_delta(1, 7)
-            applied.append((1, 7))
-            result = ctx.evaluate(return_tables=True)  # no stale generation
-            plain = oracle_tables(ground, applied, "exact-vec")
-            assert list(result.density_table) == list(plain.density_table())
-            assert list(result.support_table) == list(plain.support_table())
-            assert ctx.transport_stats()["full_resyncs"] >= 2
-
-    def test_inline_mode_byte_identical_transport_on_off(self):
-        ground = GroundSet("ABC")
-        fam = SetFamily(ground, [1, 2])
-        constraint = DifferentialConstraint(ground, 3, fam)
-        deltas = [(1, 1), (3, -2), (5, 4), (1, -1), (7, 2)]
-        results = []
-        for kwargs in (
-            {"shm_tables": True},
-            {"shm_tables": False},
-            {"sync": "reship"},
-            {"sync": "delta", "journal_bound": 1},
-        ):
-            with ParallelExecutor(workers=1) as ex:
-                ctx = ShardedEvalContext(
-                    ground,
-                    constraints=[constraint],
-                    shards=3,
-                    executor=ex,
-                    **kwargs,
-                )
-                for mask, delta in deltas:
-                    ctx.apply_delta(mask, delta)
-                r = ctx.evaluate(
-                    probes=[1, 6], families=[fam], return_tables=True
-                )
-                results.append(
-                    (
-                        r.violated,
-                        dict(r.support),
-                        list(r.density_table),
-                        list(r.support_table),
-                        list(r.differential_tables[tuple(fam.members)]),
-                    )
-                )
-                assert ctx.transport_stats()["shm_bytes"] == 0  # inline
-        assert all(r == results[0] for r in results[1:])
-
-
-class TestTransportConfigAndStats:
-    def test_bad_sync_strategy_rejected(self):
-        with pytest.raises(ValueError, match="sync strategy"):
-            ShardedEvalContext(GroundSet("AB"), sync="bogus")
-
-    def test_bad_journal_bound_rejected(self):
-        with pytest.raises(ValueError, match="journal bound"):
-            ShardedEvalContext(GroundSet("AB"), journal_bound=0)
-
-    def test_stats_shape_per_shard(self):
-        ctx = ShardedEvalContext(GroundSet("AB"), shards=3, journal_bound=64)
-        stats = ctx.transport_stats()
-        assert stats["sync"] == "delta" and stats["journal_bound"] == 64
-        assert stats["deltas_shipped"] == 0
-        assert stats["full_resyncs"] == 0
-        assert stats["shm_bytes"] == 0
-        assert [s["shard"] for s in stats["per_shard"]] == [0, 1, 2]
-        for entry in stats["per_shard"]:
-            assert set(entry) == {
-                "shard", "deltas_shipped", "full_resyncs", "shm_bytes",
-            }
-
-    def test_journal_overflow_counts_a_full_resync(self):
-        ground = GroundSet("ABC")
-        with ParallelExecutor(workers=1) as ex:
-            ctx = ShardedEvalContext(
-                ground, shards=1, executor=ex, journal_bound=4
-            )
-            ctx.apply_delta(1, 1)
-            ctx.sync_executor()
-            for i in range(6):  # exceeds the bound of 4
-                ctx.apply_delta(i, 1)
-            ctx.sync_executor()
-            stats = ctx.transport_stats()
-            assert stats["full_resyncs"] == 1
-            assert stats["deltas_shipped"] == 0
-
-    def test_object_promotion_forces_reship_then_recovers(self):
-        ground = GroundSet("AB")
-        with ParallelExecutor(workers=1) as ex:
-            ctx = ShardedEvalContext(
-                ground, shards=1, backend="exact-vec", executor=ex
-            )
-            ctx.apply_delta(1, 1)
-            ctx.sync_executor()
-            ctx.apply_delta(2, 1 << 70)  # int64 cannot hold this delta
-            ctx.sync_executor()
-            stats = ctx.transport_stats()
-            assert stats["full_resyncs"] == 1  # journal marked unsafe
-            # the unsafe flag cleared with the reship: small deltas
-            # ship incrementally again
-            ctx.apply_delta(3, 1)
-            ctx.sync_executor()
-            stats = ctx.transport_stats()
-            assert stats["deltas_shipped"] == 1
-            assert stats["full_resyncs"] == 1

@@ -2,12 +2,12 @@
 
 The recovery invariant the durability layer promises (and the issue's
 acceptance criterion): for a random delta stream, on either backend,
-sharded or not, crashing at **any record boundary** -- including a torn
+crashing at **any record boundary** -- including a torn
 final record -- and running ``recover()`` yields density, support and
 differential tables exactly equal to an uninterrupted live context
 that committed the same prefix.  Deltas are integer-valued so float64
 arithmetic is exact regardless of addition order (the same convention
-as the shard-equivalence suite), making "exactly equal" a bit-for-bit
+as the plan-equivalence suite), making "exactly equal" a bit-for-bit
 claim on both backends.
 
 Crash simulation is byte-level: the WAL is truncated at a drawn record
@@ -29,8 +29,6 @@ from repro.engine.persist import _HEADER
 
 BACKENDS = ["exact", "float"]
 
-SHARD_COUNTS = [1, 3]
-
 #: Constraint texts valid over every tested ground set (|S| >= 2).
 THEORY = ("A -> B", "B -> A", "AB -> A, B")
 
@@ -39,15 +37,9 @@ def make_theory(ground: GroundSet) -> ConstraintSet:
     return ConstraintSet.of(ground, *THEORY)
 
 
-def pinned(backend: str, shards: int = 1, **fields) -> EngineConfig:
-    """A config pinning ``backend`` and ``shards`` (more than one shard
-    selects the sharded tier, else the incremental one)."""
-    return EngineConfig(
-        engine="sharded" if shards > 1 else "incremental",
-        backend=backend,
-        shards=shards,
-        **fields,
-    )
+def pinned(backend: str, **fields) -> EngineConfig:
+    """A config pinning the incremental tier on ``backend``."""
+    return EngineConfig(engine="incremental", backend=backend, **fields)
 
 
 @st.composite
@@ -101,10 +93,9 @@ def assert_states_equal(recovered: StreamSession, oracle: StreamSession,
 
 class TestCrashRecoveryEquivalence:
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("shards", SHARD_COUNTS)
     @given(data=st.data())
     @settings(max_examples=40)
-    def test_recover_at_any_record_boundary(self, backend, shards, data):
+    def test_recover_at_any_record_boundary(self, backend, data):
         ground, transactions = data.draw(delta_streams())
         cset = make_theory(ground)
         snapshot_every = data.draw(st.sampled_from([None, 2]))
@@ -115,7 +106,6 @@ class TestCrashRecoveryEquivalence:
                 constraints=cset.constraints,
                 config=pinned(
                     backend,
-                    shards,
                     durable=data_dir,
                     snapshot_every=snapshot_every,
                     fsync="never",
@@ -149,7 +139,7 @@ class TestCrashRecoveryEquivalence:
             recovered = StreamSession(
                 ground,
                 constraints=cset.constraints,
-                config=pinned(backend, shards, durable=data_dir),
+                config=pinned(backend, durable=data_dir),
             )
             oracle = StreamSession(
                 ground, constraints=cset.constraints, config=pinned(backend)
@@ -158,11 +148,6 @@ class TestCrashRecoveryEquivalence:
                 oracle.apply(deltas)
             try:
                 assert_states_equal(recovered, oracle, cset)
-                # sharded recovery also reproduces the merged-table
-                # decomposition, not just the inherited live tables
-                if shards > 1:
-                    assert list(recovered.context.merged_density_table()) == \
-                        list(recovered.context.density_table())
             finally:
                 recovered.close()
                 oracle.close()

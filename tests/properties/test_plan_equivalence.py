@@ -1,17 +1,12 @@
 """Property suite: every tier the planner can pick is the same engine.
 
 The planner chooses *how* to evaluate, never *what* the answer is: for
-any workload, any tier it can resolve (incremental, sharded at any
-shard count it would pick) must produce byte-identical density /
-support / differential tables and identical constraint verdicts on both
-backends.  Integer-valued deltas keep float64 sums exact, so equality
-is literal ``==`` on both backends, never approximate.
-
-The suite also drives the **online promotion** path: an auto session
-with a promotion-happy planner is streamed transaction by transaction
-next to a pinned incremental oracle, and after every commit (including
-the one that promotes mid-stream) tables, verdicts, zero sets and
-support values must agree exactly.
+any workload, the live contexts it resolves (whatever the workload
+shape) and the batched tier's from-scratch recompute must produce
+byte-identical density / support / differential tables and identical
+constraint verdicts on both backends.  Integer-valued deltas keep
+float64 sums exact, so equality is literal ``==`` on both backends,
+never approximate.
 """
 
 from __future__ import annotations
@@ -24,13 +19,11 @@ import hypothesis.strategies as st
 from repro.core import DifferentialConstraint, GroundSet, SetFamily
 from repro.engine import (
     EngineConfig,
-    Planner,
-    StreamSession,
     Workload,
     build_context,
     default_planner,
+    recompute_tables,
 )
-from repro.engine.plan import LIVE_TIERS
 
 GROUNDS = [GroundSet("ABCDE"[:n]) for n in range(6)]  # |S| = 0..5
 
@@ -73,9 +66,9 @@ def instances(draw):
 
 
 def _live_plans(n, config_backend):
-    """Every live plan the stock planner can resolve for some workload:
-    the incremental tier plus the sharded tier at each shard count a
-    host in ``cpus in {2, 4, 8, 64}`` would be assigned."""
+    """Every live plan the stock planner resolves for some workload
+    shape: pinned incremental, and auto under idle, high-rate and
+    heavily loaded streaming workloads (all the incremental tier)."""
     planner = default_planner()
     plans = [
         planner.plan(
@@ -83,22 +76,14 @@ def _live_plans(n, config_backend):
             EngineConfig(engine="incremental", backend=config_backend),
         )
     ]
-    seen = set()
-    for cpus in (2, 4, 8, 64):
-        plan = planner.plan(
-            Workload(
-                n=n,
-                streaming=True,
-                cpus=cpus,
-                density_size=planner.SHARD_MIN_DENSITY,
-            ),
-            EngineConfig(
-                engine="sharded", backend=config_backend, workers=1
-            ),
+    for shape in ({}, {"delta_rate": 5_000.0}, {"density_size": 10**6}):
+        plans.append(
+            planner.plan(
+                Workload(n=n, streaming=True, **shape),
+                EngineConfig(backend=config_backend),
+            )
         )
-        if plan.shards not in seen:
-            seen.add(plan.shards)
-            plans.append(plan)
+    assert {plan.tier for plan in plans} == {"incremental"}
     return plans
 
 
@@ -112,7 +97,6 @@ def test_every_plannable_tier_is_byte_identical(backend_name, data):
         build_context(plan, ground, constraints=constraints)
         for plan in _live_plans(ground.size, backend_name)
     ]
-    assert len(contexts) >= 2  # incremental + at least one sharded plan
     for ctx in contexts:
         ctx.support_table()  # materialize: must be delta-maintained
         for c in constraints:
@@ -130,55 +114,18 @@ def test_every_plannable_tier_is_byte_identical(backend_name, data):
             )
         assert ctx.zero_set() == oracle.zero_set()
         assert ctx.violated_constraints() == oracle.violated_constraints()
-
-
-@pytest.mark.parametrize("backend_name", BACKENDS)
-@settings(max_examples=120)
-@given(data=instances())
-def test_online_promotion_is_byte_identical_mid_stream(backend_name, data):
-    """An auto session that promotes mid-stream never diverges from a
-    pinned incremental oracle -- checked after *every* transaction, so
-    the commit that crosses the promotion boundary is covered."""
-    ground, constraints, transactions = data
-    promoting = StreamSession(
-        ground,
-        constraints,
-        config=EngineConfig(engine="auto", backend=backend_name),
-        planner=Planner(
-            SHARD_MIN_CPUS=1,
-            SHARD_MIN_N=0,
-            SHARD_MIN_DENSITY=1,
-            REPLAN_EVERY=1,
-        ),
+    # the batched tier rebuilds the same tables from scratch
+    batched = default_planner().plan(
+        Workload(n=ground.size, queries=1),
+        EngineConfig(engine="batched", backend=backend_name),
     )
-    oracle = StreamSession(
-        ground,
-        constraints,
-        config=EngineConfig(engine="incremental", backend=backend_name),
+    density, support, diffs = recompute_tables(
+        ground.size,
+        oracle.density_items(),
+        [c.family.members for c in constraints],
+        build_context(batched, ground).backend,
     )
-    for tx in transactions:
-        r1 = promoting.apply(tx)
-        r2 = oracle.apply(tx)
-        assert r1.newly_violated == r2.newly_violated
-        assert r1.restored == r2.restored
-        assert r1.violated == r2.violated
-        assert tables_equal(
-            promoting.context.density_table(), oracle.context.density_table()
-        )
-        assert tables_equal(
-            promoting.context.support_table(), oracle.context.support_table()
-        )
-        for c in constraints:
-            assert tables_equal(
-                promoting.context.differential_table(c.family),
-                oracle.context.differential_table(c.family),
-            )
-        assert promoting.context.zero_set() == oracle.context.zero_set()
-    if transactions and promoting.context.support_size():
-        # replan fires after every transaction and any nonzero density
-        # clears every bar, so a stream that ends loaded must have
-        # crossed tiers exactly once
-        assert promoting.promotions == 1
-        assert promoting.plan.tier == "sharded"
-    if promoting.promotions:
-        assert promoting.plan.tier == "sharded"
+    assert tables_equal(density, oracle.density_table())
+    assert tables_equal(support, oracle.support_table())
+    for c, want in zip(constraints, diffs):
+        assert tables_equal(want, oracle.differential_table(c.family))

@@ -7,8 +7,8 @@ pure-python ``ExactBackend`` bit for bit, including across the
 overflow-promotion ladder (int64 -> object dtype) and for Fractions,
 which route to object storage from the start.  The suite drives random
 inputs through both backends across all tiers -- raw butterflies,
-batched differentials, incremental delta maintenance, sharded
-merge-and-evaluate -- plus targeted overflow-boundary cases at
+batched differentials, incremental delta maintenance, the
+elementwise shard merge -- plus targeted overflow-boundary cases at
 ``+/- 2^62`` (the exact point where one butterfly add could leave
 int64).
 """
@@ -27,7 +27,6 @@ from repro.engine import (
     EXACT,
     VEC_EXACT,
     IncrementalEvalContext,
-    ShardedEvalContext,
     VecTable,
     recompute_tables,
 )
@@ -124,7 +123,7 @@ def test_masked_helpers_agree(values, where, tol):
 
 
 # ----------------------------------------------------------------------
-# incremental + sharded tiers
+# the incremental tier
 # ----------------------------------------------------------------------
 @st.composite
 def instances(draw):
@@ -193,35 +192,6 @@ def test_incremental_tier_byte_identical(data):
     assert vec_equals_list(support, ref.support_table())
     for c, want in zip(constraints, diffs):
         assert vec_equals_list(want, ref.differential_table(c.family))
-
-
-@settings(max_examples=100, deadline=None)
-@given(data=instances(), shards=st.sampled_from([1, 2, 3]))
-def test_sharded_tier_byte_identical(data, shards):
-    ground, constraints, deltas = data
-    vec = ShardedEvalContext(
-        ground, constraints=constraints, shards=shards, backend="exact-vec"
-    )
-    ref = ShardedEvalContext(
-        ground, constraints=constraints, shards=shards, backend="exact"
-    )
-    for mask, delta in deltas:
-        assert vec.apply_delta(mask, delta) == ref.apply_delta(mask, delta)
-    assert vec_equals_list(vec.merged_density_table(), ref.merged_density_table())
-    assert vec_equals_list(vec.merged_support_table(), ref.merged_support_table())
-    for c in constraints:
-        assert vec_equals_list(
-            vec.merged_differential_table(c.family),
-            ref.merged_differential_table(c.family),
-        )
-    probes = list(range(min(4, 1 << ground.size)))
-    got = vec.evaluate(probes=probes, return_tables=True)
-    want = ref.evaluate(probes=probes, return_tables=True)
-    assert got.violated == want.violated
-    assert got.support == want.support
-    assert vec_equals_list(got.density_table, want.density_table)
-    assert vec_equals_list(got.support_table, want.support_table)
-    vec.close(), ref.close()
 
 
 # ----------------------------------------------------------------------

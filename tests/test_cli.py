@@ -4,7 +4,12 @@ import io
 
 import pytest
 
-from repro.cli import main, parse_basket_file, parse_constraint_file
+from repro.cli import (
+    _build_parser,
+    main,
+    parse_basket_file,
+    parse_constraint_file,
+)
 
 
 @pytest.fixture
@@ -114,7 +119,7 @@ class TestPlan:
     def test_one_shot_plan(self, constraint_file):
         code, text = _run(["plan", constraint_file])
         assert code == 0
-        assert "plan: tier=batched, backend=exact, shards=1, workers=1" in text
+        assert "plan: tier=batched, backend=exact" in text
 
     def test_streaming_plan_with_baskets(self, constraint_file, basket_file):
         code, text = _run(["plan", constraint_file, "--baskets", basket_file])
@@ -130,24 +135,25 @@ class TestPlan:
         assert "implies method=" in text
 
     def test_pinned_engine_flag(self, constraint_file, capsys):
-        code, text = _run(["plan", constraint_file, "--engine", "sharded"])
+        code, text = _run(["plan", constraint_file, "--engine", "incremental"])
         assert code == 0
-        assert "tier=sharded" in text
-        # --backend/--shards/--workers pin their knobs, silently
+        assert "tier=incremental" in text
+        # --backend pins its knob, silently
         code, text = _run(
-            ["plan", constraint_file, "--backend", "float",
-             "--shards", "2", "--workers", "1"]
+            ["plan", constraint_file, "--engine", "incremental",
+             "--backend", "float"]
         )
         assert code == 0
-        assert "tier=sharded, backend=float, shards=2, workers=1" in text
+        assert "plan: tier=incremental, backend=float" in text
         assert capsys.readouterr().err == ""
 
-    def test_unsatisfiable_pinning_is_loud(self, constraint_file):
-        code, text = _run(
-            ["plan", constraint_file, "--engine", "batched", "--shards", "2"]
-        )
+    def test_unsatisfiable_pinning_is_loud(self, tmp_path):
+        # a live tier pinned past the dense-table limit cannot be built
+        wide = tmp_path / "wide.txt"
+        wide.write_text("ABCDEFGHIJKLMNOPQRSTUVW\nA -> B\n")
+        code, text = _run(["plan", str(wide), "--engine", "incremental"])
         assert code == 2
-        assert "unsharded tier" in text
+        assert "dense limit" in text
 
 
 class TestDerive:
@@ -250,41 +256,22 @@ def log_file(tmp_path):
 class TestStream:
     def test_output_stamped_with_engine_config(self, constraint_file, log_file):
         code, text = _run(["stream", constraint_file, log_file])
-        assert (
-            "# engine: tier=incremental, backend=exact, shards=1, workers=1"
-            in text
-        )
+        assert "# engine: tier=incremental, backend=exact\n" in text
         _, text = _run(
-            ["stream", constraint_file, log_file, "--backend", "float",
-             "--shards", "2", "--workers", "1"]
+            ["stream", constraint_file, log_file, "--backend", "float"]
         )
-        assert (
-            "# engine: tier=sharded, backend=float, shards=2, workers=1"
-            in text
-        )
+        assert "# engine: tier=incremental, backend=float\n" in text
 
-    def test_sharded_replay_matches_unsharded(self, constraint_file, log_file):
-        code_plain, plain = _run(["stream", constraint_file, log_file])
-        code_sharded, sharded = _run(
-            ["stream", constraint_file, log_file, "--shards", "3",
-             "--workers", "1"]
-        )
-        assert code_plain == code_sharded
-        # identical transcripts modulo the configuration stamp and the
-        # sharded run's extra fan-out cross-check line
-        strip = lambda text: [
-            line for line in text.splitlines() if not line.startswith("#")
-        ]
-        assert strip(plain) == strip(sharded)
-        assert "# fan-out check over 3 shards / 1 worker(s): consistent" in sharded
-        assert "fan-out" not in plain
-
-    def test_invalid_shard_count_rejected(self, constraint_file, log_file):
-        code, text = _run(
-            ["stream", constraint_file, log_file, "--shards", "0"]
-        )
-        assert code == 2
-        assert "--shards must be >= 1" in text
+    def test_invalid_shard_count_rejected(
+        self, constraint_file, log_file, capsys
+    ):
+        # every instance runs on one incremental context: argparse
+        # refuses any shard count
+        for count in ("0", "2"):
+            with pytest.raises(SystemExit) as exc:
+                _run(["stream", constraint_file, log_file, "--shards", count])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --shards" in capsys.readouterr().err
 
     def test_replay_reports_flips(self, constraint_file, log_file):
         code, text = _run(["stream", constraint_file, log_file])
@@ -362,27 +349,12 @@ class TestServe:
         self, constraint_file, query_file, basket_file
     ):
         code, text = _run(
-            ["serve", constraint_file, query_file, "--baskets", basket_file,
-             "--shards", "2", "--workers", "1"]
+            ["serve", constraint_file, query_file, "--baskets", basket_file]
         )
-        assert (
-            "# engine: tier=sharded, backend=exact, shards=2, workers=1"
-            in text
-        )
+        # the basket instance is live: the incremental tier, even though
+        # the implication queries alone would plan as batched
+        assert "# engine: tier=incremental, backend=exact\n" in text
         assert text.count("IMPLIED: A -> {C}") == 2
-
-    def test_engine_sharded_lets_the_planner_resolve_shards(
-        self, constraint_file, query_file, basket_file
-    ):
-        code, text = _run(
-            ["serve", constraint_file, query_file, "--baskets", basket_file,
-             "--engine", "sharded"]
-        )
-        assert code in (0, 1)
-        # the planner resolves at least two shards for a pinned sharded
-        # tier (it is not silently pinned back to one)
-        stamp = next(l for l in text.splitlines() if l.startswith("# engine"))
-        assert "tier=sharded" in stamp and "shards=1" not in stamp
         assert "NOT IMPLIED: C -> {A}" in text
         # the AB baskets violate B -> C; A -> B holds on the instance
         assert "SATISFIED: A -> {B}" in text
@@ -390,6 +362,21 @@ class TestServe:
         assert "# served 5 queries" in text
         assert "coalesced" in text and "cache hits" in text
         assert code == 1  # some answers were negative
+
+    def test_shard_flags_gone_but_fleet_workers_parse(
+        self, constraint_file, capsys
+    ):
+        for flag in ("--shards", "--workers"):
+            with pytest.raises(SystemExit) as exc:
+                _build_parser().parse_args(
+                    ["serve", constraint_file, "--port", "0", flag, "2"]
+                )
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        args = _build_parser().parse_args(
+            ["fleet", constraint_file, "--workers", "2"]
+        )
+        assert args.workers == 2
 
     def test_all_positive_exits_zero(self, constraint_file, tmp_path):
         queries = tmp_path / "q.txt"
