@@ -43,7 +43,6 @@ N_STREAM = 12
 N_LOADED = 14
 QUERIES = 60
 STREAM_TXS = 250
-LOADED_SEED_ROWS = 2_000
 PLAN_CALLS = 2_000
 FLOOR = 0.9
 
@@ -128,12 +127,10 @@ class TestPlannerAuto:
 
         # --- planner decision overhead --------------------------------
         workloads = [
-            Workload(n=N_QUERY, constraints=6, queries=QUERIES),
-            Workload(n=N_STREAM, constraints=4, streaming=True,
-                     delta_rate=3.0, density_size=500),
-            # a loaded streaming descriptor: times the planner only
-            Workload(n=N_LOADED, constraints=4, streaming=True,
-                     delta_rate=8.0, density_size=LOADED_SEED_ROWS),
+            Workload(n=N_QUERY),
+            Workload(n=N_STREAM, streaming=True, delta_rate=3.0),
+            # a high-rate streaming descriptor: times the planner only
+            Workload(n=N_LOADED, streaming=True, delta_rate=8.0),
         ]
         t0 = time.perf_counter()
         for _ in range(PLAN_CALLS):

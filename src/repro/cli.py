@@ -162,7 +162,7 @@ def _cmd_implies(args, out: TextIO) -> int:
     target = DifferentialConstraint.parse(ground, args.target)
     config = engine_config_from_args(args)
     plan = default_planner().plan(
-        Workload(n=ground.size, constraints=len(cset), queries=1), config
+        Workload(n=ground.size), config
     )
     context = build_context(plan, ground)
     answer = decide(cset, target, method=args.method, context=context)
@@ -190,20 +190,12 @@ def _cmd_plan(args, out: TextIO) -> int:
     """``repro plan [--explain]``: show the planner's resolution."""
     ground, cset = parse_constraint_file(_read(args.file))
     config = engine_config_from_args(args)
-    density_size = 0
     streaming = False
     if args.baskets:
-        basket_ground, db = parse_basket_file(_read(args.baskets))
+        basket_ground, _ = parse_basket_file(_read(args.baskets))
         ground.check_same(basket_ground)
-        density_size = len(db.multiset_counts())
         streaming = True
-    workload = Workload(
-        n=ground.size,
-        constraints=len(cset),
-        density_size=density_size,
-        streaming=streaming,
-        queries=0 if streaming else 1,
-    )
+    workload = Workload(n=ground.size, streaming=streaming)
     planner = default_planner()
     if args.calibrate or args.recalibrate:
         from repro.engine.calibrate import ensure_profile
@@ -413,9 +405,7 @@ def _cmd_serve(args, out: TextIO) -> int:
         )
     else:
         plan = default_planner().plan(
-            Workload(
-                n=ground.size, constraints=len(cset), queries=len(queries)
-            ),
+            Workload(n=ground.size),
             config,
         )
     print(_engine_stamp_line(plan), file=out)

@@ -11,8 +11,8 @@ flows *down* instead of being plumbed per call site.
   a tier request (``engine="auto"`` or a pinned tier) plus optional
   pinned knobs (backend, durability, cache budgets).  Everything left
   ``None`` is resolved by the planner.
-* :class:`Workload` describes the job: ground-set size ``n``, constraint
-  count, expected delta rate, live-density size and query count.
+* :class:`Workload` describes the job: ground-set size ``n`` and
+  whether deltas are expected (``streaming`` or a ``delta_rate``).
 * :class:`Planner` maps ``(Workload, EngineConfig)`` to a :class:`Plan`
   through an explicit, documented cost model (thresholds are instance
   attributes, overridable for tests and unusual hosts).
@@ -155,16 +155,11 @@ class Workload:
     """What the planner knows about the job.
 
     ``delta_rate`` is the expected density deltas per committed
-    transaction; ``density_size`` the number of distinct nonzero
-    density masks; ``queries`` the expected implication/check query
-    volume.
+    transaction; a nonzero rate, like ``streaming``, marks the job live.
     """
 
     n: int
-    constraints: int = 0
     delta_rate: float = 0.0
-    density_size: int = 0
-    queries: int = 0
     streaming: bool = False
 
     def __post_init__(self):
@@ -367,8 +362,7 @@ class Planner:
             return "batched"
         reasons.append(
             "tier=incremental: streaming workload, O(2^n) maintenance "
-            f"per delta (|S|={n}, density={workload.density_size}, "
-            f"delta_rate={workload.delta_rate:g})"
+            f"per delta (|S|={n}, delta_rate={workload.delta_rate:g})"
         )
         return "incremental"
 

@@ -286,8 +286,25 @@ class ConstraintServer:
             # decision procedure (method="auto" picks the SAT route)
             return self._cset.implies(payload, method="auto")
         if kind == "check":
-            return payload.satisfied_by(self._instance)
+            return self._check(payload)
         raise ValueError(f"unknown work kind {kind!r}")
+
+    def _check(self, constraint) -> bool:
+        instance = self._instance
+        density_table = getattr(instance, "density_table", None)
+        if density_table is None:
+            return constraint.satisfied_by(instance)
+        instance.ground.check_same(constraint.ground)
+        if constraint in instance.constraints:
+            # a tracked constraint's status is maintained per delta
+            return not instance.is_violated(constraint)
+        # one vectorized sweep of the live density table against the
+        # memoized L(X, Y) bitset, at the instance's own tolerance (the
+        # tolerance its tracked statuses use)
+        lattice = instance.cache.lattice_table(constraint)
+        return not instance.backend.any_nonzero_where(
+            density_table(), lattice, instance.tol
+        )
 
     def __repr__(self) -> str:
         state = "running" if self._dispatcher is not None else "stopped"

@@ -176,12 +176,7 @@ class StreamSession:
                 # consumers forward it to build sibling components
                 self._config = config
         self._plan = self._planner.plan(
-            Workload(
-                n=ground.size,
-                constraints=len(constraints),
-                density_size=len(density) if density else 0,
-                streaming=True,
-            ),
+            Workload(n=ground.size, streaming=True),
             config,
         )
         if self._plan.tier != "incremental":

@@ -73,16 +73,12 @@ def _as_function(source, config=None):
                 default_planner,
             )
 
-            counts = source.multiset_counts()
             plan = default_planner().plan(
-                Workload(
-                    n=source.ground.size,
-                    density_size=len(counts),
-                    streaming=True,
-                ),
-                config,
+                Workload(n=source.ground.size, streaming=True), config
             )
-            return build_context(plan, source.ground, density=counts)
+            return build_context(
+                plan, source.ground, density=source.multiset_counts()
+            )
         return source.support_function()
     return source
 

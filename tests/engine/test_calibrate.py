@@ -260,13 +260,13 @@ class TestCalibratedPlanner:
         planner = Planner.calibrated(profile)
         assert planner.VEC_MIN_N == VEC_BAR_RANGE[0]
         assert Planner.VEC_MIN_N == 8  # the assumed default is untouched
-        plan = planner.plan(Workload(n=5, queries=1))
+        plan = planner.plan(Workload(n=5))
         assert plan.backend == "exact-vec"
 
     def test_explain_labels_measured_vs_assumed(self):
         profile = profile_with(vec_a=1e-7)
         planner = Planner.calibrated(profile)
-        reasons = planner.plan(Workload(n=10, queries=1)).reasons
+        reasons = planner.plan(Workload(n=10)).reasons
         cal = [r for r in reasons if r.startswith("calibration:")]
         assert len(cal) == 2
         assert "host profile" in cal[0]
@@ -277,7 +277,7 @@ class TestCalibratedPlanner:
     def test_uncalibrated_plans_carry_no_calibration_lines(self):
         # the byte-identical acceptance bar: calibration off means the
         # stock planner, whose output must not change at all
-        reasons = _DEFAULT_PLANNER.plan(Workload(n=10, queries=1)).reasons
+        reasons = _DEFAULT_PLANNER.plan(Workload(n=10)).reasons
         assert not any("calibration" in r for r in reasons)
 
     def test_session_surfaces_its_calibration(self):

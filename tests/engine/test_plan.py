@@ -42,21 +42,21 @@ class TestCostModelBoundaries:
         assert DENSE_LIMIT == MAX_DENSE_SIZE
 
     def test_one_shot_workloads_are_batched(self):
-        plan = plan_for(n=8, constraints=4, queries=10)
+        plan = plan_for(n=8)
         assert plan.tier == "batched"
         assert plan.as_dict()["shards"] == plan.as_dict()["workers"] == 1
 
     def test_degenerate_ground_sets_stay_scalar(self):
         for n in (0, 1):
-            assert plan_for(n=n, queries=1).tier == "scalar"
-        assert plan_for(n=2, queries=1).tier == "batched"
+            assert plan_for(n=n).tier == "scalar"
+        assert plan_for(n=2).tier == "batched"
 
     def test_past_dense_limit_is_scalar(self):
-        assert plan_for(n=DENSE_LIMIT, queries=1).tier == "batched"
-        assert plan_for(n=DENSE_LIMIT + 1, queries=1).tier == "scalar"
+        assert plan_for(n=DENSE_LIMIT).tier == "batched"
+        assert plan_for(n=DENSE_LIMIT + 1).tier == "scalar"
 
     def test_streaming_is_incremental(self):
-        plan = plan_for(n=8, constraints=2, streaming=True)
+        plan = plan_for(n=8, streaming=True)
         assert plan.tier == "incremental"
         # live entry points built without config= pin their own default
         ground = GroundSet("ABC")
@@ -84,10 +84,10 @@ class TestCostModelBoundaries:
     def test_backend_crossover(self):
         planner = default_planner()
         vec, flt = planner.VEC_MIN_N, planner.FLOAT_MIN_N
-        assert plan_for(n=vec - 1, queries=1).backend == "exact"
-        assert plan_for(n=vec, queries=1).backend == "exact-vec"
-        assert plan_for(n=flt - 1, queries=1).backend == "exact-vec"
-        assert plan_for(n=flt, queries=1).backend == "float"
+        assert plan_for(n=vec - 1).backend == "exact"
+        assert plan_for(n=vec).backend == "exact-vec"
+        assert plan_for(n=flt - 1).backend == "exact-vec"
+        assert plan_for(n=flt).backend == "float"
 
     def test_incremental_tier_raises_the_vectorization_bar(self):
         planner = default_planner()
@@ -109,20 +109,18 @@ class TestCostModelBoundaries:
         # vectorized exact backend keeps both
         plan = plan_for(
             n=planner.FLOAT_MIN_N + 2,
-            queries=1,
             config=EngineConfig(tol=0.0),
         )
         assert plan.backend == "exact-vec"
         # below the vectorization bar it stays on plain python lists
         plan = plan_for(
             n=planner.VEC_MIN_N - 1,
-            queries=1,
             config=EngineConfig(tol=0.0),
         )
         assert plan.backend == "exact"
 
     def test_pinned_backend_wins(self):
-        plan = plan_for(n=4, queries=1, config=EngineConfig(backend="float"))
+        plan = plan_for(n=4, config=EngineConfig(backend="float"))
         assert plan.backend == "float"
 
     def test_delta_rate_alone_makes_the_workload_live(self):
@@ -134,15 +132,13 @@ class TestCostModelBoundaries:
         assert TIERS == ("scalar", "batched", "incremental")
         assert LIVE_TIERS == ("incremental",)
         # however loaded, a live workload stays on the incremental tier
-        plan = plan_for(
-            n=16, streaming=True, density_size=10**6, delta_rate=1e6
-        )
+        plan = plan_for(n=16, streaming=True, delta_rate=1e6)
         assert plan.tier == "incremental"
         # the /stats block keeps its constant single-process keys
         assert plan.as_dict()["shards"] == plan.as_dict()["workers"] == 1
 
     def test_plan_overhead_reasons_and_stamp(self):
-        plan = plan_for(n=8, queries=1)
+        plan = plan_for(n=8)
         assert plan.reasons  # --explain has something to print
         assert "tier=batched" in plan.stamp()
         assert plan.as_dict()["tier"] == "batched"
@@ -216,7 +212,7 @@ class TestBuildContext:
 
     def test_live_state_rejected_on_stateless_tiers(self):
         ground = GroundSet("AB")
-        plan = plan_for(n=2, queries=1)
+        plan = plan_for(n=2)
         assert plan.tier == "batched"
         with pytest.raises(PlanError, match="stateless"):
             build_context(plan, ground, density={1: 1})
@@ -281,9 +277,7 @@ class TestAffinityAwareCpuDetection:
     pinning and container quotas, and the fleet size and executor pool
     default to it."""
 
-    LOADED = dict(
-        n=14, streaming=True, density_size=10**6, delta_rate=5000.0
-    )
+    LOADED = dict(n=14, streaming=True, delta_rate=5000.0)
 
     def test_effective_cpus_prefers_affinity(self, monkeypatch):
         from repro.engine import calibrate

@@ -68,6 +68,36 @@ class TestServeQueries:
             c.satisfied_by(ctx) for c in cset.constraints
         ]
 
+    @pytest.mark.parametrize("backend", ["exact", "exact-vec", "float"])
+    def test_check_paths_agree_with_the_definition(self, ground, backend):
+        # tracked constraints answer from their maintained status,
+        # untracked ones from a dense sweep of the live density table;
+        # both must match Definition 3.1 on the dense set function
+        from repro.core import SetFunction
+
+        texts = ["A -> B", "B -> C", "A -> B, CD", "AD -> BC", "C -> A",
+                 "D -> A", "AB -> C"]
+        constraints = [target(ground, t) for t in texts]
+        density = {"AB": 2, "ABD": 1, "BCD": -1, "C": 3}
+        ctx = IncrementalEvalContext(
+            ground,
+            density={ground.parse(u): v for u, v in density.items()},
+            constraints=constraints[:3],
+            backend=backend,
+        )
+        cset = ConstraintSet(ground, constraints)
+        queries = [("check", c) for c in constraints]
+        for step in range(2):
+            f = SetFunction.from_density(ground, density, exact=True)
+            expected = [c.satisfied_by(f) for c in constraints]
+            assert set(expected) == {True, False}
+            answers, _ = serve_queries(cset, queries, instance=ctx)
+            assert answers == expected
+            assert answers == [c.satisfied_by(ctx) for c in constraints]
+            # a delta moves the tracked statuses and the live table alike
+            ctx.apply_delta(ground.parse("ABD"), -1)
+            density["ABD"] -= 1
+
     def test_unknown_kind_rejected(self, ground, cset):
         with pytest.raises(ValueError, match="unknown query kind"):
             serve_queries(cset, [("refute", target(ground, "A -> B"))])

@@ -363,6 +363,33 @@ class TestServe:
         assert "coalesced" in text and "cache hits" in text
         assert code == 1  # some answers were negative
 
+    def test_instance_checks_match_the_support_function(
+        self, constraint_file, basket_file, tmp_path
+    ):
+        from repro.core import DifferentialConstraint, GroundSet
+        from repro.fis import BasketDatabase
+
+        ground = GroundSet("ABC")
+        texts = ["A -> B", "B -> C", "C -> A", "AB -> C", "A -> B, C",
+                 "BC -> A"]
+        queries = tmp_path / "checks.txt"
+        queries.write_text("".join(f"check {t}\n" for t in texts))
+        code, text = _run(
+            ["serve", constraint_file, str(queries), "--baskets", basket_file]
+        )
+        baskets = ["ABC", "AB", "AB", "ABC", "C", "BC"]
+        f = BasketDatabase(
+            ground, [ground.parse(b) for b in baskets]
+        ).support_function()
+        verdicts = []
+        for t in texts:
+            c = DifferentialConstraint.parse(ground, t)
+            verdict = "SATISFIED" if c.satisfied_by(f) else "VIOLATED"
+            verdicts.append(verdict)
+            assert f"{verdict}: {c!r}\n" in text
+        assert set(verdicts) == {"SATISFIED", "VIOLATED"}
+        assert code == 1
+
     def test_shard_flags_gone_but_fleet_workers_parse(
         self, constraint_file, capsys
     ):
