@@ -184,6 +184,7 @@ class IncrementalEvalContext(EvalContext):
         "_theory_version",
         "_zero_version",
         "_zero_cache",
+        "_nonzero_masks",
         "_satisfied_cache",
     )
 
@@ -224,6 +225,7 @@ class IncrementalEvalContext(EvalContext):
         self._theory_version = 0
         self._zero_version = 0
         self._zero_cache: Optional[Tuple[int, frozenset]] = None
+        self._nonzero_masks: Optional[Tuple[int, np.ndarray]] = None
         self._satisfied_cache: Optional[Tuple[int, Tuple]] = None
         for c in constraints:
             self.track(c)
@@ -354,6 +356,31 @@ class IncrementalEvalContext(EvalContext):
         """Current status of a tracked constraint."""
         i = self._constraints.index(constraint)
         return i in self._violated
+
+    def satisfies(self, constraint) -> bool:
+        """Whether the live density vanishes on ``L(X, Y)`` at this
+        context's tolerance (Definition 3.1), for any constraint.
+
+        A tracked constraint answers from its maintained status; any
+        other tests the nonzero masks for lattice membership in one
+        vectorized pass over ``O(nnz)`` masks -- no ``2^n`` table is
+        built, and the mask array is kept only until ``Z(f)`` changes.
+        """
+        self._ground.check_same(constraint.ground)
+        if constraint in self._constraints:
+            return not self.is_violated(constraint)
+        cached = self._nonzero_masks
+        if cached is None or cached[0] != self._zero_version:
+            masks = np.fromiter(
+                self._nonzero, dtype=np.int64, count=len(self._nonzero)
+            )
+            cached = self._nonzero_masks = (self._zero_version, masks)
+        masks = cached[1]
+        lhs = constraint.lhs
+        inside = (masks & lhs) == lhs
+        for member in constraint.family.members:
+            inside &= (masks & member) != member
+        return not inside.any()
 
     def violated_constraints(self) -> Tuple:
         """The tracked constraints currently violated, in tracking order."""

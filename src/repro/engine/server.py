@@ -189,7 +189,10 @@ class ConstraintServer:
         Keyed by the instance's ``zero_version`` when available, so a
         delta that changes ``Z(f)`` invalidates exactly the stale
         answers; instances without versions are computed per batch
-        (still coalesced, never memoized across batches).
+        (still coalesced, never memoized across batches).  A live
+        context answers through its ``satisfies``: a tracked
+        constraint's maintained status, else a vectorized pass over the
+        nonzero density masks.
         """
         if self._instance is None:
             raise RuntimeError("this server has no live instance to check")
@@ -290,21 +293,12 @@ class ConstraintServer:
         raise ValueError(f"unknown work kind {kind!r}")
 
     def _check(self, constraint) -> bool:
-        instance = self._instance
-        density_table = getattr(instance, "density_table", None)
-        if density_table is None:
-            return constraint.satisfied_by(instance)
-        instance.ground.check_same(constraint.ground)
-        if constraint in instance.constraints:
-            # a tracked constraint's status is maintained per delta
-            return not instance.is_violated(constraint)
-        # one vectorized sweep of the live density table against the
-        # memoized L(X, Y) bitset, at the instance's own tolerance (the
-        # tolerance its tracked statuses use)
-        lattice = instance.cache.lattice_table(constraint)
-        return not instance.backend.any_nonzero_where(
-            density_table(), lattice, instance.tol
-        )
+        # live contexts answer from their maintained nonzero set;
+        # plain set functions take the library's satisfaction check
+        satisfies = getattr(self._instance, "satisfies", None)
+        if satisfies is not None:
+            return satisfies(constraint)
+        return constraint.satisfied_by(self._instance)
 
     def __repr__(self) -> str:
         state = "running" if self._dispatcher is not None else "stopped"

@@ -87,6 +87,7 @@ class TestServeQueries:
         )
         cset = ConstraintSet(ground, constraints)
         queries = [("check", c) for c in constraints]
+        rounds = []
         for step in range(2):
             f = SetFunction.from_density(ground, density, exact=True)
             expected = [c.satisfied_by(f) for c in constraints]
@@ -94,9 +95,16 @@ class TestServeQueries:
             answers, _ = serve_queries(cset, queries, instance=ctx)
             assert answers == expected
             assert answers == [c.satisfied_by(ctx) for c in constraints]
-            # a delta moves the tracked statuses and the live table alike
-            ctx.apply_delta(ground.parse("ABD"), -1)
-            density["ABD"] -= 1
+            rounds.append(answers)
+            # zero crossings flip A -> B (tracked), AD -> BC and C -> A
+            # (untracked): both paths must see the new zero set
+            deltas = {"AD": 1, "C": -3, "BCD": 1}
+            ctx.apply_batch(
+                [(ground.parse(u), d) for u, d in deltas.items()]
+            )
+            for u, d in deltas.items():
+                density[u] = density.get(u, 0) + d
+        assert rounds[0] != rounds[1]
 
     def test_unknown_kind_rejected(self, ground, cset):
         with pytest.raises(ValueError, match="unknown query kind"):
